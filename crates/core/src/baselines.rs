@@ -19,6 +19,8 @@ use rand::SeedableRng;
 
 use marqsim_pauli::{Hamiltonian, PauliString};
 
+use crate::metrics::{rotation_fidelity, ReferenceCell};
+
 /// A compiled baseline: the ordered rotations `(string, angle)` plus the
 /// term-index sequence they came from.
 #[derive(Debug, Clone)]
@@ -119,13 +121,12 @@ pub fn random_order_trotter_sequence(
 /// evolution (the baseline analogue of
 /// [`crate::metrics::evaluate_fidelity`]).
 pub fn evaluate_baseline_fidelity(ham: &Hamiltonian, t: f64, baseline: &BaselineResult) -> f64 {
-    use marqsim_sim::{exact, fidelity, UnitaryAccumulator};
-    let mut acc = UnitaryAccumulator::new(ham.num_qubits());
-    for (&idx, &angle) in baseline.sequence.iter().zip(baseline.angles.iter()) {
-        acc.apply_pauli_rotation(&ham.term(idx).string, angle);
-    }
-    let exact_u = exact::exact_unitary(ham, t);
-    fidelity::fidelity_with_matrix(&acc, &exact_u)
+    let rotations = baseline
+        .sequence
+        .iter()
+        .zip(baseline.angles.iter())
+        .map(|(&idx, &angle)| (&ham.term(idx).string, angle));
+    rotation_fidelity(ham, t, rotations, &ReferenceCell::new())
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 use marqsim_pauli::Hamiltonian;
 
 use crate::fitting::{cluster_mean_std, interpolate_at, mean_std};
-use crate::metrics::{evaluate_fidelity, SequenceStats};
+use crate::metrics::{sequence_fidelity, ReferenceCell, SequenceStats};
 use crate::{CompileError, Compiler, CompilerConfig, HttGraph, TransitionStrategy};
 
 /// The default precision sweep used throughout the evaluation (§6.1).
@@ -95,6 +95,11 @@ pub fn point_seed(config: &SweepConfig, eps_idx: usize, rep: usize) -> u64 {
 /// engine's parallel executor share: the output depends only on
 /// `(htt, config, epsilon, seed)`, never on scheduling order.
 ///
+/// `reference` is the sweep's exact unitary `exp(iHt)` for `H` the graph's
+/// Hamiltonian and `t = config.time`, filled by whichever point first needs
+/// it; every point of one sweep passes the same cell. It is only touched
+/// when `config.evaluate_fidelity` is set.
+///
 /// # Errors
 ///
 /// Propagates the compilation failure.
@@ -103,16 +108,18 @@ pub fn compile_point(
     config: &SweepConfig,
     epsilon: f64,
     seed: u64,
+    reference: &ReferenceCell,
 ) -> Result<ExperimentPoint, CompileError> {
     let compiler_config = CompilerConfig::new(config.time, epsilon)
         .with_seed(seed)
         .without_circuit();
     let result = Compiler::new(compiler_config).compile_with_htt(htt)?;
     let fidelity = if config.evaluate_fidelity {
-        Some(evaluate_fidelity(
+        Some(sequence_fidelity(
             &result.hamiltonian,
             config.time,
             &result.sequence,
+            reference,
         ))
     } else {
         None
@@ -128,9 +135,10 @@ pub fn compile_point(
 
 /// Runs a sweep of one strategy over one Hamiltonian, serially.
 ///
-/// The HTT graph (and therefore the min-cost-flow solve behind `P_gc`) is
-/// built once and reused for every point; the per-point RNG streams come
-/// from [`point_seed`].
+/// The HTT graph (and therefore the min-cost-flow solve behind `P_gc`) and
+/// the exact unitary the fidelities are scored against are built once and
+/// reused for every point; the per-point RNG streams come from
+/// [`point_seed`].
 ///
 /// # Errors
 ///
@@ -141,11 +149,12 @@ pub fn run_sweep(
     config: &SweepConfig,
 ) -> Result<SweepResult, CompileError> {
     let htt = HttGraph::build(ham, strategy)?;
+    let reference = ReferenceCell::new();
     let mut points = Vec::new();
     for (eps_idx, &epsilon) in config.epsilons.iter().enumerate() {
         for rep in 0..config.repeats {
             let seed = point_seed(config, eps_idx, rep);
-            points.push(compile_point(&htt, config, epsilon, seed)?);
+            points.push(compile_point(&htt, config, epsilon, seed, &reference)?);
         }
     }
     Ok(SweepResult {
@@ -288,6 +297,7 @@ pub fn cnot_reduction_at_accuracy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marqsim_sim::{exact, fidelity, Matrix, UnitaryAccumulator};
 
     fn ham() -> Hamiltonian {
         Hamiltonian::parse(
@@ -381,5 +391,60 @@ mod tests {
         let target = 0.995;
         let reduction = cnot_reduction_at_accuracy(&baseline, &gc, target);
         assert!(reduction.is_some());
+    }
+
+    #[test]
+    fn compile_point_scores_against_the_reference_in_the_cell() {
+        let small = Hamiltonian::parse("0.6 XZ + 0.4 ZY + 0.3 XX").unwrap();
+        let config = SweepConfig {
+            time: 0.4,
+            epsilons: vec![0.05],
+            repeats: 1,
+            base_seed: 1,
+            evaluate_fidelity: true,
+        };
+        let htt = HttGraph::build(&small, &TransitionStrategy::QDrift).unwrap();
+        let seed = point_seed(&config, 0, 0);
+        let point = |cell: &ReferenceCell| compile_point(&htt, &config, 0.05, seed, cell).unwrap();
+
+        // An empty cell is filled with exp(iHt) and scored against.
+        let fresh = ReferenceCell::new();
+        let scored_exact = point(&fresh).fidelity.unwrap();
+        let exact_u = exact::exact_unitary(&small, config.time);
+        assert_eq!(fresh.get().map(Matrix::as_slice), Some(exact_u.as_slice()));
+        let sequence = Compiler::new(
+            CompilerConfig::new(config.time, 0.05)
+                .with_seed(seed)
+                .without_circuit(),
+        )
+        .compile_with_htt(&htt)
+        .unwrap()
+        .sequence;
+        let expected = crate::metrics::evaluate_fidelity(&small, config.time, &sequence);
+        assert_eq!(scored_exact.to_bits(), expected.to_bits());
+
+        // A pre-filled cell is used as is, even when it is not exp(iHt):
+        // the score is then |tr(U_app)| / 4.
+        let identity = ReferenceCell::from(Matrix::identity(4));
+        let scored_identity = point(&identity).fidelity.unwrap();
+        let tau = small.lambda() * config.time / sequence.len() as f64;
+        let mut acc = UnitaryAccumulator::new(2);
+        for (idx, mult) in crate::metrics::merge_consecutive(&sequence) {
+            let term = small.term(idx);
+            acc.apply_pauli_rotation(&term.string, term.coefficient.signum() * tau * mult as f64);
+        }
+        let trace = fidelity::fidelity(&acc.to_matrix(), &Matrix::identity(4));
+        assert!((scored_identity - trace).abs() < 1e-12);
+        assert!((scored_identity - scored_exact).abs() > 1e-3);
+        assert_eq!(identity.get(), Some(&Matrix::identity(4)));
+
+        // Without fidelity evaluation the cell is never touched.
+        let untouched = ReferenceCell::new();
+        let quick = SweepConfig {
+            evaluate_fidelity: false,
+            ..config.clone()
+        };
+        let p = compile_point(&htt, &quick, 0.05, seed, &untouched).unwrap();
+        assert!(p.fidelity.is_none() && untouched.get().is_none());
     }
 }

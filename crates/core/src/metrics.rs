@@ -17,9 +17,19 @@
 //! model up to the ladder-ordering freedom discussed in the `marqsim-circuit`
 //! cancellation pass.
 
+use std::sync::OnceLock;
+
 use marqsim_pauli::algebra::cnot_count_between;
 use marqsim_pauli::{Hamiltonian, PauliOp, PauliString};
-use marqsim_sim::{exact, fidelity, UnitaryAccumulator};
+use marqsim_sim::{exact, fidelity, Matrix, UnitaryAccumulator};
+
+/// A lazily computed reference unitary `exp(iHt)`.
+///
+/// One cell serves every sequence scored against the same `(H, t)`: a sweep
+/// shares one across all of its points, so the dense matrix exponential runs
+/// once per sweep instead of once per point. The cell does not record which
+/// `(H, t)` it holds; whoever shares it guarantees they agree.
+pub type ReferenceCell = OnceLock<Matrix>;
 
 /// Gate statistics of a sampled term sequence under the sequence-level
 /// cancellation model.
@@ -133,6 +143,58 @@ pub fn sequence_stats(ham: &Hamiltonian, sequence: &[usize]) -> SequenceStats {
     }
 }
 
+/// Accumulates `rotations` in order from the identity, then scores the
+/// product against the reference held in `reference`, computing
+/// `exp(iHt)` into the cell first if it is still empty.
+///
+/// Accumulation comes first on purpose: when several workers share one
+/// cell, the first to finish computes the reference while the others are
+/// still accumulating. The cost is `O(4^n)` per rotation, so this is
+/// intended for Hamiltonians of at most ~10 qubits.
+///
+/// # Panics
+///
+/// Panics if a rotation acts on a different number of qubits than `ham`.
+pub fn rotation_fidelity<'a>(
+    ham: &Hamiltonian,
+    t: f64,
+    rotations: impl IntoIterator<Item = (&'a PauliString, f64)>,
+    reference: &ReferenceCell,
+) -> f64 {
+    let mut acc = UnitaryAccumulator::new(ham.num_qubits());
+    for (string, angle) in rotations {
+        acc.apply_pauli_rotation(string, angle);
+    }
+    let exact_u = reference.get_or_init(|| exact::exact_unitary(ham, t));
+    fidelity::fidelity_with_matrix(&acc, exact_u)
+}
+
+/// [`evaluate_fidelity`] against a shared reference cell (see
+/// [`ReferenceCell`]), which must hold `exp(iHt)` for this `ham` and `t`
+/// once filled.
+///
+/// # Panics
+///
+/// Panics if an index in `sequence` is out of range.
+pub fn sequence_fidelity(
+    ham: &Hamiltonian,
+    t: f64,
+    sequence: &[usize],
+    reference: &ReferenceCell,
+) -> f64 {
+    let lambda = ham.lambda();
+    let num_samples = sequence.len().max(1);
+    let tau = lambda * t / num_samples as f64;
+    let rotations = merge_consecutive(sequence).into_iter().map(|(idx, mult)| {
+        let term = ham.term(idx);
+        // Sign of the coefficient matters: qDRIFT samples by |h| and applies
+        // the rotation with the sign of h.
+        let sign = term.coefficient.signum();
+        (&term.string, sign * tau * mult as f64)
+    });
+    rotation_fidelity(ham, t, rotations, reference)
+}
+
 /// Evaluates the unitary fidelity of a sampled sequence against the exact
 /// evolution `exp(iHt)`.
 ///
@@ -144,19 +206,7 @@ pub fn sequence_stats(ham: &Hamiltonian, sequence: &[usize]) -> SequenceStats {
 ///
 /// Panics if an index in `sequence` is out of range.
 pub fn evaluate_fidelity(ham: &Hamiltonian, t: f64, sequence: &[usize]) -> f64 {
-    let n = ham.num_qubits();
-    let lambda = ham.lambda();
-    let num_samples = sequence.len().max(1);
-    let tau = lambda * t / num_samples as f64;
-    let mut acc = UnitaryAccumulator::new(n);
-    for (idx, mult) in merge_consecutive(sequence) {
-        // Sign of the coefficient matters: qDRIFT samples by |h| and applies
-        // the rotation with the sign of h.
-        let sign = ham.term(idx).coefficient.signum();
-        acc.apply_pauli_rotation(&ham.term(idx).string, sign * tau * mult as f64);
-    }
-    let exact_u = exact::exact_unitary(ham, t);
-    fidelity::fidelity_with_matrix(&acc, &exact_u)
+    sequence_fidelity(ham, t, sequence, &ReferenceCell::new())
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use marqsim_core::experiment::{
     compile_point, point_seed, ExperimentPoint, SweepConfig, SweepResult,
 };
-use marqsim_core::metrics::evaluate_fidelity;
+use marqsim_core::metrics::{evaluate_fidelity, ReferenceCell};
 use marqsim_core::{
     CompileError, CompileResult, Compiler, CompilerConfig, HttGraph, SolverKind, TransitionStrategy,
 };
@@ -741,6 +741,9 @@ impl Engine {
                     },
                 }),
                 BuiltinJob::Sweep(req) => {
+                    // One exact unitary per sweep job, computed by the first
+                    // point that finishes accumulating.
+                    let reference = Arc::new(ReferenceCell::new());
                     for (eps_idx, &epsilon) in req.config.epsilons.iter().enumerate() {
                         for rep in 0..req.config.repeats {
                             tasks.push(Task {
@@ -751,6 +754,7 @@ impl Engine {
                                     config: req.config.clone(),
                                     epsilon,
                                     seed: point_seed(&req.config, eps_idx, rep),
+                                    reference: Arc::clone(&reference),
                                 },
                             });
                         }
@@ -989,6 +993,8 @@ enum TaskKind {
         config: SweepConfig,
         epsilon: f64,
         seed: u64,
+        /// `exp(iHt)`, shared by every point of the sweep.
+        reference: Arc<ReferenceCell>,
     },
 }
 
@@ -1029,7 +1035,8 @@ impl Task {
                 config,
                 epsilon,
                 seed,
-            } => TaskOutput::Point(compile_point(&graph, &config, epsilon, seed)),
+                reference,
+            } => TaskOutput::Point(compile_point(&graph, &config, epsilon, seed, &reference)),
         }
     }
 }

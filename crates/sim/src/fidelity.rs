@@ -32,8 +32,8 @@ pub fn fidelity(a: &Matrix, b: &Matrix) -> f64 {
 }
 
 /// Fidelity between an accumulated circuit unitary and a dense reference,
-/// computed directly from the accumulator's columns (no dense conversion of
-/// the accumulated unitary).
+/// computed directly from the accumulator's column-major buffer (no dense
+/// conversion of the accumulated unitary).
 ///
 /// # Panics
 ///
@@ -44,8 +44,8 @@ pub fn fidelity_with_matrix(acc: &UnitaryAccumulator, reference: &Matrix) -> f64
     assert!(reference.is_square(), "reference must be square");
     // tr(A B†) = Σ_j ⟨b_j | a_j⟩ where a_j, b_j are the j-th columns.
     let mut tr = Complex::ZERO;
-    for (j, col) in acc.columns().iter().enumerate() {
-        for (i, &aij) in col.amplitudes().iter().enumerate() {
+    for (j, col) in acc.column_major().chunks_exact(dim).enumerate() {
+        for (i, &aij) in col.iter().enumerate() {
             tr += aij * reference[(i, j)].conj();
         }
     }

@@ -9,10 +9,13 @@
 //! * [`StateVector`] — a dense `2^n` state vector with gate application and
 //!   an `O(2^n)` fast path for Pauli-rotation application
 //!   (`exp(iθP)|ψ⟩ = cos θ |ψ⟩ + i sin θ P|ψ⟩`).
-//! * [`UnitaryAccumulator`] — accumulates the full circuit unitary column by
-//!   column, either gate-by-gate or Pauli-rotation-by-rotation (the latter is
-//!   what the experiment drivers use: it avoids synthesizing millions of
-//!   gates when only the unitary matters).
+//! * [`UnitaryAccumulator`] — accumulates the full circuit unitary in one
+//!   contiguous column-major buffer, either gate-by-gate or
+//!   Pauli-rotation-by-rotation (the latter is what the experiment drivers
+//!   use: it avoids synthesizing millions of gates when only the unitary
+//!   matters). A rotation is one in-place pairwise pass over the whole
+//!   buffer, using the same kernel as [`StateVector`], so both give the same
+//!   bits for every column.
 //! * [`exact`] — the exact reference evolution `exp(iHt)` via the dense
 //!   matrix exponential.
 //! * [`fidelity`] — the unitary fidelity metric.
@@ -44,5 +47,8 @@ mod unitary;
 pub mod exact;
 pub mod fidelity;
 
+/// The dense matrix type of [`exact::exact_unitary`] and of fidelity
+/// references.
+pub use marqsim_linalg::Matrix;
 pub use state::StateVector;
 pub use unitary::UnitaryAccumulator;

@@ -117,21 +117,7 @@ impl StateVector {
     ///
     /// Panics if the gate addresses a qubit outside the register.
     pub fn apply_gate(&mut self, gate: &Gate) {
-        match gate {
-            Gate::Cnot { control, target } => self.apply_cnot(*control, *target),
-            Gate::GlobalPhase(phi) => {
-                let phase = Complex::cis(*phi);
-                for a in self.amplitudes.iter_mut() {
-                    *a *= phase;
-                }
-            }
-            single => {
-                let q = single.qubits()[0];
-                assert!(q < self.num_qubits, "gate qubit {q} out of range");
-                let m = single.local_matrix();
-                self.apply_single_qubit(q, &m);
-            }
-        }
+        apply_gate_in_place(&mut self.amplitudes, self.num_qubits, gate);
     }
 
     /// Applies every gate of a circuit in order.
@@ -149,42 +135,6 @@ impl StateVector {
         }
     }
 
-    fn apply_single_qubit(&mut self, q: usize, m: &Matrix) {
-        let stride = 1usize << q;
-        let dim = self.amplitudes.len();
-        let m00 = m[(0, 0)];
-        let m01 = m[(0, 1)];
-        let m10 = m[(1, 0)];
-        let m11 = m[(1, 1)];
-        let mut base = 0usize;
-        while base < dim {
-            for offset in base..base + stride {
-                let i0 = offset;
-                let i1 = offset + stride;
-                let a0 = self.amplitudes[i0];
-                let a1 = self.amplitudes[i1];
-                self.amplitudes[i0] = m00 * a0 + m01 * a1;
-                self.amplitudes[i1] = m10 * a0 + m11 * a1;
-            }
-            base += 2 * stride;
-        }
-    }
-
-    fn apply_cnot(&mut self, control: usize, target: usize) {
-        assert!(
-            control < self.num_qubits && target < self.num_qubits && control != target,
-            "invalid CNOT qubits ({control}, {target})"
-        );
-        let cmask = 1usize << control;
-        let tmask = 1usize << target;
-        for k in 0..self.amplitudes.len() {
-            if k & cmask != 0 && k & tmask == 0 {
-                let partner = k | tmask;
-                self.amplitudes.swap(k, partner);
-            }
-        }
-    }
-
     /// Applies `exp(i · angle · P)` directly (without synthesizing gates),
     /// using `exp(iθP) = cos θ · I + i sin θ · P` and the `O(2^n)` sparse
     /// action of a Pauli string on the computational basis.
@@ -198,42 +148,139 @@ impl StateVector {
             self.num_qubits,
             "Pauli string qubit count mismatch"
         );
-        let x_mask = pauli.x_mask() as usize;
-        let z_mask = pauli.z_mask() as usize;
-        let y_count = pauli
-            .support()
-            .filter(|(_, op)| op.x_bit() && op.z_bit())
-            .count();
-        // i^{y_count}
-        let y_phase = match y_count % 4 {
-            0 => Complex::ONE,
-            1 => Complex::I,
-            2 => -Complex::ONE,
-            _ => -Complex::I,
-        };
-        let cos = Complex::real(angle.cos());
-        let i_sin = Complex::new(0.0, angle.sin());
+        apply_pauli_rotation_in_place(&mut self.amplitudes, pauli, angle, &mut Vec::new());
+    }
+}
 
-        // sign(k) = (-1)^{popcount(k & z_mask)}; P|k⟩ = y_phase·sign(k)·|k ^ x_mask⟩.
-        let sign = |k: usize| {
-            if (k & z_mask).count_ones().is_multiple_of(2) {
-                Complex::ONE
-            } else {
-                -Complex::ONE
+/// Applies one gate to `amps`, a state on `num_qubits` qubits.
+///
+/// # Panics
+///
+/// Panics if the gate addresses a qubit outside the register.
+pub(crate) fn apply_gate_in_place(amps: &mut [Complex], num_qubits: usize, gate: &Gate) {
+    match gate {
+        Gate::Cnot { control, target } => apply_cnot(amps, num_qubits, *control, *target),
+        Gate::GlobalPhase(phi) => {
+            let phase = Complex::cis(*phi);
+            for a in amps.iter_mut() {
+                *a *= phase;
             }
-        };
+        }
+        single => {
+            let q = single.qubits()[0];
+            assert!(q < num_qubits, "gate qubit {q} out of range");
+            let m = single.local_matrix();
+            apply_single_qubit(amps, q, &m);
+        }
+    }
+}
 
-        if x_mask == 0 {
-            // Diagonal Pauli string: each amplitude picks up a phase.
-            for (k, amp) in self.amplitudes.iter_mut().enumerate() {
-                *amp = (cos + i_sin * y_phase * sign(k)) * *amp;
+fn apply_single_qubit(amps: &mut [Complex], q: usize, m: &Matrix) {
+    let stride = 1usize << q;
+    let dim = amps.len();
+    let m00 = m[(0, 0)];
+    let m01 = m[(0, 1)];
+    let m10 = m[(1, 0)];
+    let m11 = m[(1, 1)];
+    let mut base = 0usize;
+    while base < dim {
+        for offset in base..base + stride {
+            let i0 = offset;
+            let i1 = offset + stride;
+            let a0 = amps[i0];
+            let a1 = amps[i1];
+            amps[i0] = m00 * a0 + m01 * a1;
+            amps[i1] = m10 * a0 + m11 * a1;
+        }
+        base += 2 * stride;
+    }
+}
+
+fn apply_cnot(amps: &mut [Complex], num_qubits: usize, control: usize, target: usize) {
+    assert!(
+        control < num_qubits && target < num_qubits && control != target,
+        "invalid CNOT qubits ({control}, {target})"
+    );
+    let cmask = 1usize << control;
+    let tmask = 1usize << target;
+    for k in 0..amps.len() {
+        if k & cmask != 0 && k & tmask == 0 {
+            let partner = k | tmask;
+            amps.swap(k, partner);
+        }
+    }
+}
+
+/// Applies `exp(i · angle · P)` in place to every column of `amps`, whose
+/// length is a multiple of the column length `2^n`: one state, or the
+/// consecutive columns of a column-major unitary. `rows` is scratch space
+/// for the per-row multipliers, reused across calls.
+///
+/// `P|k⟩ = i^{#Y} · (−1)^{popcount(k & z_mask)} · |k ^ x_mask⟩`, so
+/// `exp(iθP)` maps amplitude `a_k` to `cos θ · a_k + c(src) · a_src` with
+/// `src = k ^ x_mask` and `c(src) = i sin θ · i^{#Y} · (±1)`; for a diagonal
+/// string (`x_mask = 0`) it maps `a_k` to `(cos θ + c(k)) · a_k`. The phase,
+/// the coefficients and the per-row multipliers are computed once per
+/// rotation, and each pair `(k, k ^ x_mask)` of a column is read once and
+/// written once, so no copy of the column is needed.
+///
+/// Each amplitude is evaluated as exactly `cos * a + c * b` (or
+/// `factor * a`), with `c = (i_sin * y_phase) * (±1)`: the expression and
+/// operand order the golden outputs were recorded with. Any reordering,
+/// even an algebraically equal one, changes bits.
+pub(crate) fn apply_pauli_rotation_in_place(
+    amps: &mut [Complex],
+    pauli: &PauliString,
+    angle: f64,
+    rows: &mut Vec<Complex>,
+) {
+    let dim = 1usize << pauli.num_qubits();
+    let x_mask = pauli.x_mask() as usize;
+    let z_mask = pauli.z_mask() as usize;
+    // i^{#Y}: a Y sets both the X and the Z bit of its qubit.
+    let y_phase = match (x_mask & z_mask).count_ones() % 4 {
+        0 => Complex::ONE,
+        1 => Complex::I,
+        2 => -Complex::ONE,
+        _ => -Complex::I,
+    };
+    let cos = Complex::real(angle.cos());
+    let i_sin = Complex::new(0.0, angle.sin());
+    let coef = [
+        i_sin * y_phase * Complex::ONE,
+        i_sin * y_phase * -Complex::ONE,
+    ];
+    // The multiplier of row k, by the parity of popcount(k & z_mask).
+    let row = if x_mask == 0 {
+        [cos + coef[0], cos + coef[1]]
+    } else {
+        coef
+    };
+    rows.clear();
+    rows.extend((0..dim).map(|k| row[((k & z_mask).count_ones() & 1) as usize]));
+
+    if x_mask == 0 {
+        for column in amps.chunks_exact_mut(dim) {
+            for (amp, &factor) in column.iter_mut().zip(rows.iter()) {
+                *amp = factor * *amp;
             }
-        } else {
-            // (Pψ)[k] = y_phase · sign(src) · ψ[src] with src = k ^ x_mask.
-            let old = self.amplitudes.clone();
-            for (k, slot) in self.amplitudes.iter_mut().enumerate() {
-                let src = k ^ x_mask;
-                *slot = cos * old[k] + i_sin * y_phase * sign(src) * old[src];
+        }
+        return;
+    }
+    // Pair rows k < k ^ x_mask: within each block of 2·high rows, the low
+    // half (bit `high` clear) pairs with the high half.
+    let high = 1usize << (usize::BITS - 1 - x_mask.leading_zeros());
+    let low_bits = x_mask ^ high;
+    for column in amps.chunks_exact_mut(dim) {
+        let blocks = column.chunks_exact_mut(2 * high);
+        for (block, block_rows) in blocks.zip(rows.chunks_exact(2 * high)) {
+            let (lo, hi) = block.split_at_mut(high);
+            let (rows_lo, rows_hi) = block_rows.split_at(high);
+            for i in 0..high {
+                let j = i ^ low_bits;
+                let (a, b) = (lo[i], hi[j]);
+                lo[i] = cos * a + rows_hi[j] * b;
+                hi[j] = cos * b + rows_lo[i] * a;
             }
         }
     }

@@ -1,18 +1,22 @@
-//! Column-wise accumulation of a circuit's full unitary.
+//! Accumulation of a circuit's full unitary in one column-major buffer.
 
 use marqsim_circuit::{Circuit, Gate};
-use marqsim_linalg::Matrix;
+use marqsim_linalg::{Complex, Matrix};
 use marqsim_pauli::PauliString;
 
-use crate::StateVector;
+use crate::state::{apply_gate_in_place, apply_pauli_rotation_in_place};
 
 /// Accumulates the full `2^n × 2^n` unitary of a gate/rotation sequence by
-/// evolving every computational basis state (one [`StateVector`] per column).
+/// evolving every computational basis state at once, in one contiguous
+/// column-major buffer (column `j` holds `U |j⟩`).
 ///
 /// This is the workhorse of the algorithmic-accuracy evaluation: the cost of
-/// applying one Pauli rotation is `O(4^n)` (one `O(2^n)` pass per column),
-/// which is what makes sweeping thousands of sampled terms feasible without
-/// synthesizing and multiplying dense gate matrices.
+/// applying one Pauli rotation is `O(4^n)` (one in-place pass over the
+/// buffer, with the rotation's masks and coefficients computed once), which
+/// is what makes sweeping thousands of sampled terms feasible without
+/// synthesizing and multiplying dense gate matrices. Each amplitude is
+/// computed exactly as [`crate::StateVector`] computes it, so accumulating
+/// column by column gives the same bits.
 ///
 /// # Example
 ///
@@ -29,19 +33,24 @@ use crate::StateVector;
 #[derive(Debug, Clone)]
 pub struct UnitaryAccumulator {
     num_qubits: usize,
-    columns: Vec<StateVector>,
+    /// Column-major: `data[j * 2^n + i]` is the `(i, j)` entry.
+    data: Vec<Complex>,
+    /// The current rotation's per-row multipliers, reused across rotations.
+    rows: Vec<Complex>,
 }
 
 impl UnitaryAccumulator {
     /// Starts from the identity on `num_qubits` qubits.
     pub fn new(num_qubits: usize) -> Self {
         let dim = 1usize << num_qubits;
-        let columns = (0..dim)
-            .map(|k| StateVector::basis_state(num_qubits, k))
-            .collect();
+        let mut data = vec![Complex::ZERO; dim * dim];
+        for j in 0..dim {
+            data[j * dim + j] = Complex::ONE;
+        }
         UnitaryAccumulator {
             num_qubits,
-            columns,
+            data,
+            rows: Vec::with_capacity(dim),
         }
     }
 
@@ -50,15 +59,25 @@ impl UnitaryAccumulator {
         self.num_qubits
     }
 
-    /// The accumulated columns (`columns[j] = U |j⟩`).
-    pub fn columns(&self) -> &[StateVector] {
-        &self.columns
+    /// The accumulated unitary in column-major order: the `2^n` amplitudes
+    /// of `U |0⟩`, then of `U |1⟩`, and so on.
+    pub fn column_major(&self) -> &[Complex] {
+        &self.data
+    }
+
+    fn dim(&self) -> usize {
+        1usize << self.num_qubits
     }
 
     /// Applies a single gate to the accumulated unitary (`U ← G · U`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gate addresses a qubit outside the register.
     pub fn apply_gate(&mut self, gate: &Gate) {
-        for col in self.columns.iter_mut() {
-            col.apply_gate(gate);
+        let dim = self.dim();
+        for column in self.data.chunks_exact_mut(dim) {
+            apply_gate_in_place(column, self.num_qubits, gate);
         }
     }
 
@@ -70,10 +89,17 @@ impl UnitaryAccumulator {
     }
 
     /// Applies `exp(i · angle · P)` to the accumulated unitary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `P` acts on a different number of qubits.
     pub fn apply_pauli_rotation(&mut self, pauli: &PauliString, angle: f64) {
-        for col in self.columns.iter_mut() {
-            col.apply_pauli_rotation(pauli, angle);
-        }
+        assert_eq!(
+            pauli.num_qubits(),
+            self.num_qubits,
+            "Pauli string qubit count mismatch"
+        );
+        apply_pauli_rotation_in_place(&mut self.data, pauli, angle, &mut self.rows);
     }
 
     /// Applies a sequence of Pauli rotations in order.
@@ -85,8 +111,8 @@ impl UnitaryAccumulator {
 
     /// Exports the accumulated unitary as a dense matrix.
     pub fn to_matrix(&self) -> Matrix {
-        let dim = self.columns.len();
-        Matrix::from_fn(dim, dim, |i, j| self.columns[j].amplitudes()[i])
+        let dim = self.dim();
+        Matrix::from_fn(dim, dim, |i, j| self.data[j * dim + i])
     }
 }
 
@@ -94,7 +120,7 @@ impl UnitaryAccumulator {
 mod tests {
     use super::*;
     use marqsim_circuit::synthesis;
-    use marqsim_linalg::{expm, Complex};
+    use marqsim_linalg::expm;
 
     #[test]
     fn identity_on_construction() {

@@ -20,6 +20,7 @@ use marqsim::core::experiment::{
     compile_point, point_seed, run_sweep, ExperimentPoint, SweepConfig, SweepResult,
     DEFAULT_EPSILONS,
 };
+use marqsim::core::metrics::ReferenceCell;
 use marqsim::core::{Compiler, CompilerConfig, HttGraph, TransitionStrategy};
 use marqsim::engine::Engine;
 use marqsim::hamlib::suite::{benchmark_by_name, SuiteScale};
@@ -69,7 +70,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Sanity: the per-point rebuild is the same computation compile_point
     // performs against a shared graph.
     let htt = HttGraph::build(&bench.hamiltonian, &strategy)?;
-    let check = compile_point(&htt, &config, config.epsilons[0], point_seed(&config, 0, 0))?;
+    let check = compile_point(
+        &htt,
+        &config,
+        config.epsilons[0],
+        point_seed(&config, 0, 0),
+        &ReferenceCell::new(),
+    )?;
     assert_eq!(check.stats, rebuilt.points[0].stats);
 
     // 2. Serial driver: one transition-matrix build per sweep.

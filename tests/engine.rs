@@ -48,6 +48,51 @@ fn parallel_sweep_reproduces_the_serial_sweep_bit_for_bit() {
 }
 
 #[test]
+fn fidelity_sweeps_match_the_serial_driver_bit_for_bit_at_any_thread_count() {
+    // Two sweeps of one Hamiltonian in one batch share the cached graph but
+    // not their exact unitary: each scores against exp(iHt) at its own t.
+    let ham = benchmark_hamiltonian();
+    let strategy = TransitionStrategy::marqsim_gc();
+    let configs: Vec<SweepConfig> = [0.5, 0.8]
+        .into_iter()
+        .map(|time| SweepConfig {
+            time,
+            epsilons: vec![0.1, 0.05],
+            repeats: 2,
+            base_seed: 29,
+            evaluate_fidelity: true,
+        })
+        .collect();
+    let serial: Vec<_> = configs
+        .iter()
+        .map(|config| run_sweep(&ham, &strategy, config).unwrap())
+        .collect();
+    for threads in [1, 3] {
+        let engine = Engine::new(EngineConfig::default().with_threads(threads));
+        let requests = configs
+            .iter()
+            .map(|config| {
+                SweepRequest::new("fidelity", ham.clone(), strategy.clone(), config.clone())
+            })
+            .collect();
+        for (parallel, serial) in engine.run_sweeps(requests).into_iter().zip(&serial) {
+            let parallel = parallel.unwrap();
+            assert_eq!(parallel.points.len(), serial.points.len());
+            for (p, s) in parallel.points.iter().zip(&serial.points) {
+                assert_eq!(p.stats, s.stats, "{threads} threads");
+                assert!(p.fidelity.is_some());
+                assert_eq!(
+                    p.fidelity.map(f64::to_bits),
+                    s.fidelity.map(f64::to_bits),
+                    "{threads} threads, seed {}",
+                    p.seed
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn repeated_compiles_of_one_benchmark_hit_the_cache() {
     let ham = benchmark_hamiltonian();
     let strategy = TransitionStrategy::marqsim_gc();

@@ -20,9 +20,11 @@ use marqsim::core::transition::build_transition_matrix;
 use marqsim::core::{metrics, TransitionStrategy};
 use marqsim::flow::bipartite;
 use marqsim::flow::SolverKind;
+use marqsim::linalg::Complex;
 use marqsim::markov::combine::combine;
 use marqsim::pauli::algebra::cnot_count_between;
 use marqsim::pauli::{Hamiltonian, PauliOp, PauliString, Term};
+use marqsim::sim::{StateVector, UnitaryAccumulator};
 
 /// Generates a random Pauli string on `n` qubits with at least one
 /// non-identity operator.
@@ -498,6 +500,111 @@ fn gc_transition_matrix_agrees_with_the_flow_it_came_from() {
             ok_if((flow_sol.cost - cost).abs() < 1e-6, || {
                 format!("flow cost {} vs matrix cost {cost}", flow_sol.cost)
             })
+        },
+    );
+}
+
+/// A rotation sequence on 1–6 qubits mixing identity, diagonal, Y-heavy and
+/// arbitrary strings, with angles that include 0, negative values and the
+/// merged multiples `k · τ` a sampled sequence produces.
+fn rotation_sequence(g: &mut Gen) -> (usize, Vec<(PauliString, f64)>) {
+    const OPS: [PauliOp; 4] = [PauliOp::I, PauliOp::X, PauliOp::Y, PauliOp::Z];
+    let n = g.usize_in(1..7);
+    let tau = g.f64_in(-0.3, 0.3);
+    let len = g.usize_in(1..12);
+    let mut rotations = Vec::with_capacity(len);
+    for _ in 0..len {
+        let ops: Vec<PauliOp> = match g.usize_in(0..4) {
+            0 => vec![PauliOp::I; n],
+            1 => (0..n)
+                .map(|_| if g.bool(0.5) { PauliOp::Z } else { PauliOp::I })
+                .collect(),
+            2 => (0..n)
+                .map(|_| {
+                    if g.bool(0.7) {
+                        PauliOp::Y
+                    } else {
+                        *g.choose(&OPS)
+                    }
+                })
+                .collect(),
+            _ => (0..n).map(|_| *g.choose(&OPS)).collect(),
+        };
+        let angle = match g.usize_in(0..4) {
+            0 => 0.0,
+            1 => -g.f64_in(0.0, 2.0),
+            2 => g.f64_in(-3.2, 3.2),
+            _ => tau * g.usize_in(1..6) as f64,
+        };
+        rotations.push((PauliString::from_ops(ops), angle));
+    }
+    (n, rotations)
+}
+
+/// `exp(iθP)` on one column, written the way the per-column simulator
+/// computed it: a copy of the column, then
+/// `cos θ · a_k + i sin θ · i^{#Y} · sign(src) · a_src` for every `k`.
+fn per_column_rotation(column: &mut [Complex], pauli: &PauliString, angle: f64) {
+    let x_mask = pauli.x_mask() as usize;
+    let z_mask = pauli.z_mask() as usize;
+    let y_count = pauli.support().filter(|&(_, op)| op == PauliOp::Y).count();
+    let y_phase = [Complex::ONE, Complex::I, -Complex::ONE, -Complex::I][y_count % 4];
+    let cos = Complex::real(angle.cos());
+    let i_sin = Complex::new(0.0, angle.sin());
+    let sign = |k: usize| {
+        if (k & z_mask).count_ones().is_multiple_of(2) {
+            Complex::ONE
+        } else {
+            -Complex::ONE
+        }
+    };
+    let old = column.to_vec();
+    for (k, slot) in column.iter_mut().enumerate() {
+        *slot = if x_mask == 0 {
+            (cos + i_sin * y_phase * sign(k)) * old[k]
+        } else {
+            let src = k ^ x_mask;
+            cos * old[k] + i_sin * y_phase * sign(src) * old[src]
+        };
+    }
+}
+
+fn same_bits(a: &[Complex], b: &[Complex]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
+}
+
+#[test]
+fn flat_unitary_accumulator_matches_per_column_simulation_bit_for_bit() {
+    check(
+        "flat accumulator == per-column reference, bitwise",
+        Config::default().with_seed(0xF1A7).with_cases(48),
+        rotation_sequence,
+        |(n, rotations)| {
+            let dim = 1usize << n;
+            let mut acc = UnitaryAccumulator::new(*n);
+            let mut states: Vec<StateVector> =
+                (0..dim).map(|j| StateVector::basis_state(*n, j)).collect();
+            let mut columns: Vec<Vec<Complex>> =
+                states.iter().map(|s| s.amplitudes().to_vec()).collect();
+            for (pauli, angle) in rotations {
+                acc.apply_pauli_rotation(pauli, *angle);
+                for (state, column) in states.iter_mut().zip(columns.iter_mut()) {
+                    state.apply_pauli_rotation(pauli, *angle);
+                    per_column_rotation(column, pauli, *angle);
+                }
+            }
+            for (j, flat) in acc.column_major().chunks_exact(dim).enumerate() {
+                ok_if(same_bits(flat, &columns[j]), || {
+                    format!("accumulator column {j} differs from the reference")
+                })?;
+                ok_if(same_bits(states[j].amplitudes(), &columns[j]), || {
+                    format!("state vector {j} differs from the reference")
+                })?;
+            }
+            Ok(())
         },
     );
 }
