@@ -1,7 +1,8 @@
 //! Smoke-tests router mode end to end: a three-node fleet behind one
 //! router, driven through the ordinary [`Client`].
 //!
-//! Three phases, each printing a grep-able marker for CI:
+//! Three phases, each printing a grep-able marker for CI (plus, against
+//! an external router, a router-metrics parity marker):
 //!
 //! 1. **Bit-identity** — distinct-Hamiltonian sweeps submitted through the
 //!    router must match the same sweeps run on an in-process single-node
@@ -101,6 +102,15 @@ fn flow_solve_histogram_count(exposition: &str) -> u64 {
         .filter(|line| line.starts_with("marqsim_flow_solve_seconds_count"))
         .filter_map(|line| line.rsplit(' ').next()?.parse::<u64>().ok())
         .sum()
+}
+
+/// The value of one sample (`name` with any labels, as exposed) in a
+/// Prometheus-style exposition; 0 when the sample is absent.
+fn exposition_value(exposition: &str, name: &str) -> u64 {
+    exposition
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0)
 }
 
 /// The fleet under test: either external daemons (addressed by `--connect`
@@ -494,6 +504,28 @@ fn main() {
         "[cluster-smoke] router kept serving after the kill ({} now {})",
         victim, victim_part.health
     );
+
+    // Router metrics parity: the router's own `metrics` verb exposes the
+    // same client-connection instruments a node does. Only meaningful
+    // against an external router — in-process, the registry is shared
+    // with the nodes.
+    if fleet.local_router.is_none() {
+        let exposition = after
+            .metrics()
+            .unwrap_or_else(|e| fail(format!("router metrics: {e}")))
+            .exposition;
+        let connections = exposition_value(&exposition, "marqsim_serve_connections_total");
+        let submits =
+            exposition_value(&exposition, "marqsim_serve_requests_total{verb=\"submit\"}");
+        if connections == 0 || submits == 0 {
+            fail(format!(
+                "router exposes connections={connections} submits={submits}; expected both nonzero"
+            ));
+        }
+        println!(
+            "[cluster-smoke] router metrics parity: connections={connections} submits={submits}"
+        );
+    }
 
     fleet.shutdown();
     println!("[cluster-smoke] PASS");

@@ -1,14 +1,13 @@
 //! # marqsim-serve — the job-submission front-end over the engine
 //!
 //! The `marqsim-engine` crate runs workloads inside one process. This
-//! crate puts a network protocol on top, the next step toward the
-//! ROADMAP's "serve heavy traffic to remote clients" north star: a
-//! `marqsim-served` daemon accepts concurrent TCP connections, multiplexes
-//! every client's jobs onto **one shared engine** (one worker pool, one
-//! transition cache — two clients sweeping the same Hamiltonian share the
-//! min-cost-flow solve), streams per-job progress, bounds each
-//! connection's in-flight jobs (admission control), and supports
-//! cooperative cancellation.
+//! crate puts a network protocol on top: a `marqsim-served` daemon
+//! accepts concurrent TCP connections, multiplexes every client's jobs
+//! onto **one shared engine** (one worker pool, one transition cache — two
+//! clients sweeping the same Hamiltonian share the min-cost-flow solve),
+//! streams per-job progress, bounds each connection's in-flight jobs
+//! (admission control), and supports cooperative cancellation. In router
+//! mode the same daemon fronts a fleet of such nodes instead.
 //!
 //! The module layering mirrors the protocol stack:
 //!
@@ -17,10 +16,10 @@
 //!   one JSON object per `\n`-terminated line in each direction. `u64`
 //!   ids/seeds are exact; finite floats use shortest-round-trip encoding,
 //!   so results cross the wire **bit-identically**.
-//! * [`protocol`] — typed [`Request`] verbs (`submit`, `status`, `cancel`,
-//!   `stats`, `metrics`) and [`Event`] streams (`hello`, `submitted`,
-//!   `busy`, `progress`, `done`, `failed`, `status`, `stats`, `metrics`,
-//!   `error`). The `metrics` verb (protocol v4) answers with the
+//! * [`protocol`] — typed [`Request`] verbs (`auth`, `submit`, `status`,
+//!   `cancel`, `stats`, `metrics`, `drain`) and [`Event`] streams (`hello`,
+//!   `auth_ok`, `submitted`, `busy`, `progress`, `done`, `failed`,
+//!   `status`, `stats`, `metrics`, `draining`, `error`). The `metrics` verb (protocol v4) answers with the
 //!   process-wide Prometheus-style exposition from `marqsim-obs` plus the
 //!   connection's own request/byte counters — see `docs/observability.md`.
 //! * [`registry`] — the open end of the protocol: `submit` names a
@@ -30,9 +29,18 @@
 //!   `benchmark_suite`) cover the evaluation; custom
 //!   [`Workload`](marqsim_engine::Workload)s register new kinds with **no
 //!   protocol surgery**.
-//! * [`server`] — the TCP accept loop; one reader/writer thread pair per
-//!   connection over the shared [`Engine`](marqsim_engine::Engine), with
+//! * the client-connection layer (private) — one single-threaded
+//!   `marqsim-net` event loop per daemon that owns every client
+//!   connection: bounded framing, bounded outbound queues with progress
+//!   coalescing and a slow-consumer disconnect, `auth`, the `metrics`
+//!   verb, idle reaping, and the `marqsim_serve_*` instruments. Both roles
+//!   below plug a backend into it; see `docs/net.md`.
+//! * [`server`] — the node backend: job verbs run on the shared
+//!   [`Engine`](marqsim_engine::Engine), with engine-wide and
 //!   per-connection admission control.
+//! * [`router`] — the router backend: job verbs forward to the fleet node
+//!   owning the workload's Hamiltonian fingerprint, with events relayed
+//!   back; see `docs/cluster.md`.
 //! * [`client`] — a blocking client used by the tests, the `serve_smoke`
 //!   binary, and the `serve_roundtrip` example.
 //!
@@ -58,9 +66,10 @@
 //!   **all** connections (unset = unlimited); submits over it bounce with
 //!   the structured `busy` event, and the bound is surfaced in `stats`.
 //! * `MARQSIM_SERVE_IDLE_TIMEOUT_MS=N` — reap connections that send no
-//!   request bytes for `N` milliseconds: their unfinished jobs are
-//!   cancelled and a structured `error` event precedes the close (unset =
-//!   never reap; in-process: [`Server::with_idle_timeout`]).
+//!   request bytes for `N` milliseconds, in either role: their unfinished
+//!   jobs are cancelled and a structured `error` event precedes the close
+//!   (unset = never reap; in-process: [`Server::with_idle_timeout`],
+//!   [`Router::with_idle_timeout`]).
 //! * The engine cache/solver variables (`MARQSIM_CACHE`,
 //!   `MARQSIM_CACHE_CAP`, `MARQSIM_CACHE_DIR`, `MARQSIM_FLOW_SOLVER`)
 //!   apply unchanged; a submit's `options.flow_solver` selects the
@@ -99,6 +108,7 @@
 //! ```
 
 pub mod client;
+mod conn;
 pub mod protocol;
 pub mod registry;
 pub mod router;
@@ -760,6 +770,116 @@ mod tests {
             assert_eq!(stats.active_jobs, 0);
         }
         server.shutdown();
+
+        // A router reaps its clients the same way, and the reap cancels
+        // the routed job on the node running it.
+        let node = spawn_server(2);
+        let router = Router::bind("127.0.0.1:0", &[node.addr().to_string()])
+            .unwrap()
+            .with_idle_timeout(std::time::Duration::from_millis(200))
+            .spawn()
+            .unwrap();
+        wait_for_fleet(&mut Client::connect(router.addr()).unwrap(), 1);
+        let raw = std::net::TcpStream::connect(router.addr()).unwrap();
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(raw.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("hello"), "{line}");
+        (&raw)
+            .write_all(b"{\"verb\":\"submit\",\"label\":\"t/idle-routed\",\"kind\":\"block\",\"params\":{}}\n")
+            .unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("submitted"), "{line}");
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(
+            line.contains("idle timeout"),
+            "expected the router's idle-timeout error event, got {line:?}"
+        );
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "expected EOF");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while node.engine().active_jobs() != 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the reaped router client's job was never cancelled on its node"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        router.shutdown();
+        node.shutdown();
+    }
+
+    /// Pipelines `status` requests at `addr` without reading until the
+    /// serving side declares a slow consumer, then reads to the end and
+    /// returns the last line it got.
+    fn overflow_outbound_queue(addr: std::net::SocketAddr) -> String {
+        use std::io::{BufRead, BufReader, Write};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let slow_disconnects =
+            marqsim_obs::metrics::global().counter("marqsim_serve_slow_disconnects_total");
+        let before = slow_disconnects.get();
+        let raw = std::net::TcpStream::connect(addr).unwrap();
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(20)))
+            .unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let mut raw = raw.try_clone().unwrap();
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let batch = "{\"verb\":\"status\",\"job\":999999}\n".repeat(1024);
+                // Ends when told to, or when the server closes the socket.
+                while !stop.load(Ordering::Acquire) && raw.write_all(batch.as_bytes()).is_ok() {}
+            })
+        };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while slow_disconnects.get() == before {
+            if std::time::Instant::now() >= deadline {
+                stop.store(true, Ordering::Release);
+                panic!("marqsim_serve_slow_disconnects_total never grew");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        stop.store(true, Ordering::Release);
+        // Reading to the end: every answer queued before the overflow, then
+        // the disconnect notice. A reset after the final line (unread
+        // requests on the server side) also ends the stream.
+        let mut reader = BufReader::new(raw);
+        let (mut line, mut last) = (String::new(), String::new());
+        while matches!(reader.read_line(&mut line), Ok(n) if n > 0) {
+            if line.ends_with('\n') {
+                std::mem::swap(&mut line, &mut last);
+            }
+            line.clear();
+        }
+        writer.join().unwrap();
+        last
+    }
+
+    #[test]
+    fn slow_consumers_are_disconnected_with_a_structured_error() {
+        let assert_slow_consumer_notice = |last: &str| match Event::decode(last.trim()) {
+            Ok(Event::Error { message }) => assert!(
+                message.contains("outbound queue overflow (slow consumer, limit 8192 events"),
+                "{message}"
+            ),
+            other => panic!("expected the slow-consumer error last, got {other:?} from {last:?}"),
+        };
+        let node = spawn_server(1);
+        assert_slow_consumer_notice(&overflow_outbound_queue(node.addr()));
+
+        // The router's client side enforces the same bound with the same
+        // notice and counter.
+        let router = Router::bind("127.0.0.1:0", &[node.addr().to_string()])
+            .unwrap()
+            .spawn()
+            .unwrap();
+        assert_slow_consumer_notice(&overflow_outbound_queue(router.addr()));
+        router.shutdown();
+        node.shutdown();
     }
 
     #[test]
