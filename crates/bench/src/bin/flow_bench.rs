@@ -84,7 +84,7 @@ fn run_warm(sizes: &[usize]) {
         let costs = cnot_cost_matrix(&ham);
         let kind = SolverKind::NetworkSimplex;
 
-        let seed_solve = bipartite::solve_with_basis(kind, &pi, &costs, |i, j| i != j);
+        let seed_solve = bipartite::solve(kind, &pi, &costs, |i, j| i != j, None);
         let basis = match seed_solve {
             Ok((_, Some(basis))) => basis,
             Ok((_, None)) => {
@@ -106,15 +106,14 @@ fn run_warm(sizes: &[usize]) {
         for sample in 0..SAMPLES {
             let sample_costs = perturbed(&costs, strings as u64 * 1000 + sample);
             let (cold, seconds) =
-                timed(|| bipartite::solve_with(kind, &pi, &sample_costs, |i, j| i != j));
+                timed(|| bipartite::solve(kind, &pi, &sample_costs, |i, j| i != j, None));
             cold_s += seconds;
-            let cold = cold.unwrap_or_else(|cause| {
+            let (cold, _) = cold.unwrap_or_else(|cause| {
                 error!("flow", "cold re-solve failed at {strings} strings: {cause}");
                 std::process::exit(1);
             });
-            let (warm, seconds) = timed(|| {
-                bipartite::solve_warm_with(kind, &pi, &sample_costs, |i, j| i != j, &basis)
-            });
+            let (warm, seconds) =
+                timed(|| bipartite::solve(kind, &pi, &sample_costs, |i, j| i != j, Some(&basis)));
             repivot_s += seconds;
             let (warm, _) = warm.unwrap_or_else(|cause| {
                 error!("flow", "warm re-solve failed at {strings} strings: {cause}");
@@ -178,9 +177,9 @@ fn main() {
         let mut optima: Vec<(SolverKind, f64)> = Vec::new();
         for kind in SolverKind::ALL {
             let (solution, seconds) =
-                timed(|| bipartite::solve_with(kind, &pi, &costs, |i, j| i != j));
+                timed(|| bipartite::solve(kind, &pi, &costs, |i, j| i != j, None));
             match solution {
-                Ok(flow) => {
+                Ok((flow, _)) => {
                     info!(
                         "flow",
                         "backend={} strings={strings} states={} solve_s={seconds:.3} cost={:.6} bf_skipped={}",

@@ -1,7 +1,7 @@
 //! Peephole gate cancellation.
 //!
 //! The paper's baseline is "qDRIFT followed by applying gate cancellation
-//! [22] on the randomized sequence" (§6.1). This module implements that
+//! \[22\] on the randomized sequence" (§6.1). This module implements that
 //! post-pass at the gate level:
 //!
 //! * adjacent self-inverse pairs (`H·H`, `X·X`, `CNOT·CNOT`, …) are removed,

@@ -11,7 +11,7 @@
 //! * [`synthesis`] — Pauli-rotation synthesis: `exp(iθP)` → basis changes +
 //!   CNOT ladder + `Rz` (+ mirrored suffix), exactly as in Fig. 3.
 //! * [`cancellation`] — a peephole gate-cancellation pass (adjacent inverse
-//!   pairs, `Rz` merging) in the style of Gui et al. [22]; this is the
+//!   pairs, `Rz` merging) in the style of Gui et al. \[22\]; this is the
 //!   post-pass the paper's baseline applies to the qDRIFT output.
 //! * [`GateStats`] — gate-count/depth summary used by every experiment.
 //! * [`qasm`] — OpenQASM 2.0 export of compiled circuits.

@@ -4,7 +4,7 @@
 //! layers of basis-change gates, a CNOT ladder that accumulates the parity of
 //! the string's support onto a *root* qubit, a single `Rz` rotation on the
 //! root, and the mirrored CNOT ladder. The CNOT-ladder shape is the one that
-//! exposes the gate-cancellation opportunities exploited by Gui et al. [22]
+//! exposes the gate-cancellation opportunities exploited by Gui et al. \[22\]
 //! and by MarQSim's min-cost-flow objective.
 //!
 //! The synthesized circuit reproduces `exp(iθP)` *exactly*, including global

@@ -86,7 +86,7 @@ pub fn trotter_sequence_natural(ham: &Hamiltonian, t: f64, steps: usize) -> Base
     trotter_sequence(ham, t, steps, &order)
 }
 
-/// Randomized-order Trotter (Childs et al. [9]): every Trotter step uses a
+/// Randomized-order Trotter (Childs et al. \[9\]): every Trotter step uses a
 /// fresh uniformly random permutation of the terms.
 ///
 /// # Panics

@@ -12,7 +12,7 @@
 //! term carrying more than half of the total weight is split in two first
 //! (Appendix A.3), mirroring `Hamiltonian::split_dominant_terms`.
 
-use marqsim_flow::bipartite::{solve_warm_with, solve_with_basis, BipartiteFlow};
+use marqsim_flow::bipartite::{self, BipartiteFlow};
 use marqsim_flow::{SolverKind, SpanningBasis};
 use marqsim_markov::TransitionMatrix;
 use marqsim_pauli::algebra::cnot_count_between;
@@ -37,8 +37,17 @@ pub fn cnot_cost_matrix(ham: &Hamiltonian) -> Vec<Vec<f64>> {
 }
 
 /// Solves the min-cost-flow model for a Hamiltonian with an arbitrary cost
-/// matrix (used directly by the random-perturbation variant) under the
-/// default solver backend.
+/// matrix under the `solver` backend, optionally warm-started from a saved
+/// basis, and returns the transition matrix, the optimal flow (whose
+/// `cost` is the model's objective) and the basis the solve ends on
+/// (`None` for backends without warm support).
+///
+/// The flow network's topology depends only on `π` and the excluded
+/// diagonal, both fixed by the Hamiltonian, so any basis solved for `ham`
+/// can warm-start a solve for `ham` under a different cost matrix — the
+/// `P_rp` perturbed-cost shape. A mismatched basis or a backend without
+/// warm support degrades to a cold solve ([`BipartiteFlow::warm_start`]
+/// reports what happened); errors are classified identically either way.
 ///
 /// # Errors
 ///
@@ -48,61 +57,11 @@ pub fn cnot_cost_matrix(ham: &Hamiltonian) -> Vec<Vec<f64>> {
 pub fn matrix_from_costs(
     ham: &Hamiltonian,
     costs: &[Vec<f64>],
-) -> Result<(TransitionMatrix, BipartiteFlow), CompileError> {
-    matrix_from_costs_with(ham, costs, SolverKind::default())
-}
-
-/// Like [`matrix_from_costs`] with an explicit min-cost-flow backend.
-///
-/// # Errors
-///
-/// Same contract as [`matrix_from_costs`].
-pub fn matrix_from_costs_with(
-    ham: &Hamiltonian,
-    costs: &[Vec<f64>],
     solver: SolverKind,
-) -> Result<(TransitionMatrix, BipartiteFlow), CompileError> {
-    matrix_from_costs_with_basis(ham, costs, solver).map(|(matrix, flow, _)| (matrix, flow))
-}
-
-/// Like [`matrix_from_costs_with`], additionally returning the solver's
-/// optimal [`SpanningBasis`] (`None` for backends without warm support).
-/// The basis can warm-start [`matrix_from_costs_warm_with`] for the same
-/// Hamiltonian under a different cost matrix — the flow network's
-/// topology depends only on `π` and the excluded diagonal, both fixed by
-/// the Hamiltonian, which is exactly the `P_rp` perturbed-cost shape.
-///
-/// # Errors
-///
-/// Same contract as [`matrix_from_costs`].
-pub fn matrix_from_costs_with_basis(
-    ham: &Hamiltonian,
-    costs: &[Vec<f64>],
-    solver: SolverKind,
+    warm: Option<&SpanningBasis>,
 ) -> Result<(TransitionMatrix, BipartiteFlow, Option<SpanningBasis>), CompileError> {
     let pi = ham.stationary_distribution();
-    let (flow, basis) = solve_with_basis(solver, &pi, costs, |i, j| i != j)?;
-    let matrix = matrix_from_flow(ham, &pi, &flow)?;
-    Ok((matrix, flow, basis))
-}
-
-/// Warm-start variant of [`matrix_from_costs_with_basis`]: re-prices and
-/// re-pivots from a basis saved by an earlier solve for the *same*
-/// Hamiltonian. A mismatched basis or a backend without warm support
-/// degrades to a cold solve ([`BipartiteFlow::warm_start`] reports what
-/// happened); errors are classified identically either way.
-///
-/// # Errors
-///
-/// Same contract as [`matrix_from_costs`].
-pub fn matrix_from_costs_warm_with(
-    ham: &Hamiltonian,
-    costs: &[Vec<f64>],
-    solver: SolverKind,
-    basis: &SpanningBasis,
-) -> Result<(TransitionMatrix, BipartiteFlow, Option<SpanningBasis>), CompileError> {
-    let pi = ham.stationary_distribution();
-    let (flow, basis) = solve_warm_with(solver, &pi, costs, |i, j| i != j, basis)?;
+    let (flow, basis) = bipartite::solve(solver, &pi, costs, |i, j| i != j, warm)?;
     let matrix = matrix_from_flow(ham, &pi, &flow)?;
     Ok((matrix, flow, basis))
 }
@@ -149,12 +108,16 @@ fn matrix_from_flow(
 ///
 /// See [`matrix_from_costs`].
 pub fn gate_cancellation_matrix(ham: &Hamiltonian) -> Result<TransitionMatrix, CompileError> {
-    gate_cancellation_matrix_with(ham, SolverKind::default())
+    gate_cancellation_matrix_with(ham, SolverKind::default()).map(|(matrix, _, _)| matrix)
 }
 
-/// Like [`gate_cancellation_matrix`] with an explicit min-cost-flow backend
-/// — the entry point the engine's transition cache uses to honor its
-/// configured / per-job solver selection.
+/// Builds `P_gc` under an explicit min-cost-flow backend: the CNOT-count
+/// model solved cold by [`matrix_from_costs`]. Also returns the optimal
+/// flow — by Proposition 5.1 its `cost` is the expected CNOT count per
+/// transition under `(π, P_gc)` — and the backend's optimal basis (`None`
+/// for `ssp`). The engine's transition cache persists that basis next to
+/// `P_gc` so the `P_rp` perturbation samples — same network topology,
+/// perturbed costs — can be solved as warm re-pivots.
 ///
 /// # Errors
 ///
@@ -162,40 +125,8 @@ pub fn gate_cancellation_matrix(ham: &Hamiltonian) -> Result<TransitionMatrix, C
 pub fn gate_cancellation_matrix_with(
     ham: &Hamiltonian,
     solver: SolverKind,
-) -> Result<TransitionMatrix, CompileError> {
-    let costs = cnot_cost_matrix(ham);
-    matrix_from_costs_with(ham, &costs, solver).map(|(m, _)| m)
-}
-
-/// Like [`gate_cancellation_matrix_with`], additionally returning the
-/// backend's optimal [`SpanningBasis`] (`None` for `ssp`). The engine's
-/// transition cache persists this basis next to `P_gc` so the `P_rp`
-/// perturbation samples — same network topology, perturbed costs — can be
-/// solved as warm re-pivots instead of cold solves.
-///
-/// # Errors
-///
-/// See [`matrix_from_costs`].
-pub fn gate_cancellation_matrix_with_basis(
-    ham: &Hamiltonian,
-    solver: SolverKind,
-) -> Result<(TransitionMatrix, Option<SpanningBasis>), CompileError> {
-    let costs = cnot_cost_matrix(ham);
-    matrix_from_costs_with_basis(ham, &costs, solver).map(|(m, _, basis)| (m, basis))
-}
-
-/// Builds `P_gc` and also returns the optimal objective value — by
-/// Proposition 5.1 this is the expected CNOT count per transition under
-/// `(π, P_gc)`.
-///
-/// # Errors
-///
-/// See [`matrix_from_costs`].
-pub fn gate_cancellation_matrix_with_cost(
-    ham: &Hamiltonian,
-) -> Result<(TransitionMatrix, f64), CompileError> {
-    let costs = cnot_cost_matrix(ham);
-    matrix_from_costs(ham, &costs).map(|(m, flow)| (m, flow.cost))
+) -> Result<(TransitionMatrix, BipartiteFlow, Option<SpanningBasis>), CompileError> {
+    matrix_from_costs(ham, &cnot_cost_matrix(ham), solver, None)
 }
 
 #[cfg(test)]
@@ -249,7 +180,8 @@ mod tests {
     fn objective_equals_expected_cnot_count() {
         // Proposition 5.1: the MCFP objective equals E[CNOT] under (π, P_gc).
         let ham = example();
-        let (p, cost) = gate_cancellation_matrix_with_cost(&ham).unwrap();
+        let (p, flow, _) = gate_cancellation_matrix_with(&ham, SolverKind::default()).unwrap();
+        let cost = flow.cost;
         let pi = ham.stationary_distribution();
         let costs = cnot_cost_matrix(&ham);
         let mut expectation = 0.0;
@@ -271,7 +203,9 @@ mod tests {
         .unwrap();
         let costs = cnot_cost_matrix(&ham);
         let pi = ham.stationary_distribution();
-        let (p_gc, gc_cost) = gate_cancellation_matrix_with_cost(&ham).unwrap();
+        let (p_gc, gc_flow, _) =
+            gate_cancellation_matrix_with(&ham, SolverKind::default()).unwrap();
+        let gc_cost = gc_flow.cost;
         assert!(p_gc.preserves_distribution(&pi, 1e-9));
         let mut qd_cost = 0.0;
         for i in 0..ham.num_terms() {
@@ -302,10 +236,10 @@ mod tests {
         let ham = example();
         let pi = ham.stationary_distribution();
         let costs = cnot_cost_matrix(&ham);
-        let (ssp, ssp_flow) =
-            matrix_from_costs_with(&ham, &costs, SolverKind::SuccessiveShortestPath).unwrap();
-        let (simplex, simplex_flow) =
-            matrix_from_costs_with(&ham, &costs, SolverKind::NetworkSimplex).unwrap();
+        let (ssp, ssp_flow, _) =
+            matrix_from_costs(&ham, &costs, SolverKind::SuccessiveShortestPath, None).unwrap();
+        let (simplex, simplex_flow, _) =
+            matrix_from_costs(&ham, &costs, SolverKind::NetworkSimplex, None).unwrap();
         assert!(
             (ssp_flow.cost - simplex_flow.cost).abs() < 1e-9,
             "ssp {} vs simplex {}",

@@ -61,13 +61,10 @@ impl HttGraph {
         solver: SolverKind,
     ) -> Result<Self, CompileError> {
         let ham = ham.split_if_dominant();
-        // The warm builder is the canonical construction: `P_rp` samples
-        // re-pivot from the `P_gc` basis under basis-exporting backends and
-        // degrade to the identical cold solves under `ssp`, so cached and
-        // uncached builds agree bit-for-bit on every backend.
-        let (transition, _warm_starts) = crate::transition::build_transition_matrix_solved_by_warm(
-            &ham, strategy, None, solver,
-        )?;
+        // The same construction the engine's transition cache runs, so
+        // cached and uncached builds agree bit-for-bit on every backend.
+        let (transition, _warm_starts) =
+            crate::transition::build_transition_matrix_with(&ham, strategy, None, solver)?;
         let stationary = ham.stationary_distribution();
         Ok(HttGraph {
             hamiltonian: ham,

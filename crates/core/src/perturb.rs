@@ -17,12 +17,10 @@ use marqsim_markov::combine::combine;
 use marqsim_markov::TransitionMatrix;
 use marqsim_pauli::Hamiltonian;
 
+use marqsim_flow::bipartite::BipartiteFlow;
 use marqsim_flow::SpanningBasis;
 
-use crate::gate_cancel::{
-    cnot_cost_matrix, matrix_from_costs_warm_with, matrix_from_costs_with,
-    matrix_from_costs_with_basis,
-};
+use crate::gate_cancel::{cnot_cost_matrix, matrix_from_costs};
 use crate::{CompileError, SolverKind};
 
 /// Configuration of the random-perturbation matrix construction.
@@ -63,7 +61,7 @@ fn perturb_costs(costs: &mut [Vec<f64>], rng: &mut StdRng, config: &Perturbation
 }
 
 /// Builds `P_rp`: the average of transition matrices obtained from randomly
-/// perturbed min-cost-flow problems.
+/// perturbed min-cost-flow problems, under the default solver backend.
 ///
 /// One RNG stream threads through all samples (sample `i`'s perturbation
 /// depends on the draws of samples `0..i`), so this construction is
@@ -81,38 +79,15 @@ pub fn random_perturbation_matrix(
     ham: &Hamiltonian,
     config: &PerturbationConfig,
 ) -> Result<TransitionMatrix, CompileError> {
-    random_perturbation_matrix_with(ham, config, SolverKind::default())
+    random_perturbation_matrix_with(ham, config, SolverKind::default(), None)
+        .map(|(matrix, _)| matrix)
 }
 
 /// Like [`random_perturbation_matrix`] with an explicit min-cost-flow
-/// backend for the perturbed solves.
-///
-/// # Errors
-///
-/// Same contract as [`random_perturbation_matrix`].
-pub fn random_perturbation_matrix_with(
-    ham: &Hamiltonian,
-    config: &PerturbationConfig,
-    solver: SolverKind,
-) -> Result<TransitionMatrix, CompileError> {
-    assert!(config.samples > 0, "need at least one perturbation sample");
-    let base_costs = cnot_cost_matrix(ham);
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut matrices = Vec::with_capacity(config.samples);
-    for _ in 0..config.samples {
-        let mut costs = base_costs.clone();
-        perturb_costs(&mut costs, &mut rng, config);
-        let (matrix, _) = matrix_from_costs_with(ham, &costs, solver)?;
-        matrices.push(matrix);
-    }
-    let weights = vec![1.0 / config.samples as f64; config.samples];
-    combine(&matrices, &weights).map_err(CompileError::Combine)
-}
-
-/// Like [`random_perturbation_matrix_with`], solving the perturbed
-/// problems as warm re-pivots from a [`SpanningBasis`]. The perturbation
-/// only changes edge costs — the network topology is fixed by the
-/// Hamiltonian — so every sample can reuse one basis:
+/// backend, solving the perturbed problems as warm re-pivots from a
+/// [`SpanningBasis`]. The perturbation only changes edge costs — the
+/// network topology is fixed by the Hamiltonian — so every sample can
+/// reuse one basis:
 ///
 /// * with `gc_basis = Some(..)` (the engine path: the basis saved by the
 ///   `P_gc` solve) every sample warm-starts from it;
@@ -120,8 +95,8 @@ pub fn random_perturbation_matrix_with(
 ///   basis, and the remaining `samples - 1` warm-start from that.
 ///
 /// Also returns how many solves actually re-pivoted a basis (always `0`
-/// for backends without warm support, which silently degrade to the cold
-/// construction). Determinism is preserved: the result is a pure
+/// for backends without warm support, which export no basis and so solve
+/// every sample cold). Determinism is preserved: the result is a pure
 /// function of `(ham, config, solver, gc_basis)`, and `gc_basis` itself
 /// is a pure function of `(ham, solver)` when derived from the `P_gc`
 /// solve — so cached and cache-disabled runs build identical matrices.
@@ -129,7 +104,7 @@ pub fn random_perturbation_matrix_with(
 /// # Errors
 ///
 /// Same contract as [`random_perturbation_matrix`].
-pub fn random_perturbation_matrix_warm_with(
+pub fn random_perturbation_matrix_with(
     ham: &Hamiltonian,
     config: &PerturbationConfig,
     solver: SolverKind,
@@ -144,20 +119,11 @@ pub fn random_perturbation_matrix_warm_with(
     for _ in 0..config.samples {
         let mut costs = base_costs.clone();
         perturb_costs(&mut costs, &mut rng, config);
-        let matrix = match gc_basis.or(first_basis.as_ref()) {
-            Some(basis) => {
-                let (matrix, flow, _) = matrix_from_costs_warm_with(ham, &costs, solver, basis)?;
-                if flow.warm_start {
-                    warm_starts += 1;
-                }
-                matrix
-            }
-            None => {
-                let (matrix, _, exported) = matrix_from_costs_with_basis(ham, &costs, solver)?;
-                first_basis = exported;
-                matrix
-            }
-        };
+        let warm = gc_basis.or(first_basis.as_ref());
+        let (matrix, flow, exported) = matrix_from_costs(ham, &costs, solver, warm)?;
+        warm_starts += u64::from(flow.warm_start);
+        // Without a `P_gc` basis, the first sample's basis seeds the rest.
+        first_basis = first_basis.or(exported);
         matrices.push(matrix);
     }
     let weights = vec![1.0 / config.samples as f64; config.samples];
@@ -176,90 +142,36 @@ pub fn perturbation_sample_seed(config: &PerturbationConfig, index: usize) -> u6
 }
 
 /// Solves one independently seeded perturbed min-cost-flow problem — the
-/// unit of work of the parallel `P_rp` average. The output depends only on
-/// `(ham, config, index)`, never on scheduling order; averaging samples
-/// `0..config.samples` with equal weights yields the parallel `P_rp`.
+/// unit of work of the parallel `P_rp` average — under the `solver`
+/// backend, optionally warm-started from a basis saved by an earlier solve
+/// for the same Hamiltonian (the perturbation only changes costs, never
+/// the network topology, so any basis for `ham` matches). Returns the
+/// sample matrix, the optimal flow ([`BipartiteFlow::warm_start`] says
+/// whether the basis was actually re-pivoted) and the basis the solve
+/// ends on; see [`matrix_from_costs`].
 ///
-/// # Errors
-///
-/// Propagates the flow-solve failure.
-pub fn perturbed_matrix_sample(
-    ham: &Hamiltonian,
-    config: &PerturbationConfig,
-    index: usize,
-) -> Result<TransitionMatrix, CompileError> {
-    perturbed_matrix_sample_with(ham, config, index, SolverKind::default())
-}
-
-/// Like [`perturbed_matrix_sample`] with an explicit min-cost-flow backend.
-///
-/// # Errors
-///
-/// Propagates the flow-solve failure.
-pub fn perturbed_matrix_sample_with(
-    ham: &Hamiltonian,
-    config: &PerturbationConfig,
-    index: usize,
-    solver: SolverKind,
-) -> Result<TransitionMatrix, CompileError> {
-    let mut costs = cnot_cost_matrix(ham);
-    let mut rng = StdRng::seed_from_u64(perturbation_sample_seed(config, index));
-    perturb_costs(&mut costs, &mut rng, config);
-    let (matrix, _) = matrix_from_costs_with(ham, &costs, solver)?;
-    Ok(matrix)
-}
-
-/// Like [`perturbed_matrix_sample_with`], additionally exporting the
-/// solve's optimal [`SpanningBasis`] when the backend supports it (`None`
-/// otherwise). The matrix is bit-identical to the plain cold sample; the
-/// basis lets the caller warm-start the *other* samples of the same
-/// average — the engine's parallel `P_rp` workload solves sample `0`
-/// through this and re-pivots samples `1..` from the returned basis.
-///
-/// # Errors
-///
-/// Propagates the flow-solve failure.
-pub fn perturbed_matrix_sample_with_basis(
-    ham: &Hamiltonian,
-    config: &PerturbationConfig,
-    index: usize,
-    solver: SolverKind,
-) -> Result<(TransitionMatrix, Option<SpanningBasis>), CompileError> {
-    let mut costs = cnot_cost_matrix(ham);
-    let mut rng = StdRng::seed_from_u64(perturbation_sample_seed(config, index));
-    perturb_costs(&mut costs, &mut rng, config);
-    let (matrix, _, basis) = matrix_from_costs_with_basis(ham, &costs, solver)?;
-    Ok((matrix, basis))
-}
-
-/// Like [`perturbed_matrix_sample_with`], warm-starting the flow solve
-/// from a [`SpanningBasis`] saved by an earlier solve for the same
-/// Hamiltonian (the perturbation only changes costs, never the network
-/// topology, so any basis for `ham` matches). Returns the sample matrix
-/// and whether the basis was actually re-pivoted (`false` on the cold
-/// fallback — mismatched basis or a backend without warm support).
-///
-/// The matrix depends only on `(ham, config, index, solver, basis)` —
-/// warm sampling stays exactly as deterministic as cold sampling as long
-/// as the caller derives `basis` deterministically (the engine derives
-/// it from the `P_gc` solve, itself a pure function of `(ham, solver)`).
+/// The matrix depends only on `(ham, config, index, solver, warm)`, never
+/// on scheduling order; averaging samples `0..config.samples` with equal
+/// weights yields the parallel `P_rp`. The engine's parallel workload
+/// solves sample `0` cold and re-pivots samples `1..` from its basis,
+/// which keeps the average deterministic because that basis is itself a
+/// pure function of `(ham, config, solver)`.
 ///
 /// # Errors
 ///
 /// Propagates the flow-solve failure — warm and cold solves classify
 /// errors identically.
-pub fn perturbed_matrix_sample_warm_with(
+pub fn perturbed_matrix_sample(
     ham: &Hamiltonian,
     config: &PerturbationConfig,
     index: usize,
     solver: SolverKind,
-    basis: &SpanningBasis,
-) -> Result<(TransitionMatrix, bool), CompileError> {
+    warm: Option<&SpanningBasis>,
+) -> Result<(TransitionMatrix, BipartiteFlow, Option<SpanningBasis>), CompileError> {
     let mut costs = cnot_cost_matrix(ham);
     let mut rng = StdRng::seed_from_u64(perturbation_sample_seed(config, index));
     perturb_costs(&mut costs, &mut rng, config);
-    let (matrix, flow, _) = matrix_from_costs_warm_with(ham, &costs, solver, basis)?;
-    Ok((matrix, flow.warm_start))
+    matrix_from_costs(ham, &costs, solver, warm)
 }
 
 #[cfg(test)]
@@ -331,11 +243,16 @@ mod tests {
             perturbation_sample_seed(&config, 0),
             perturbation_sample_seed(&config, 1)
         );
-        let a = perturbed_matrix_sample(&ham, &config, 2).unwrap();
-        let b = perturbed_matrix_sample(&ham, &config, 2).unwrap();
+        let solver = SolverKind::default();
+        let (a, _, _) = perturbed_matrix_sample(&ham, &config, 2, solver, None).unwrap();
+        let (b, _, _) = perturbed_matrix_sample(&ham, &config, 2, solver, None).unwrap();
         assert_eq!(a, b);
         let matrices: Vec<_> = (0..config.samples)
-            .map(|i| perturbed_matrix_sample(&ham, &config, i).unwrap())
+            .map(|i| {
+                perturbed_matrix_sample(&ham, &config, i, solver, None)
+                    .unwrap()
+                    .0
+            })
             .collect();
         let weights = vec![1.0 / config.samples as f64; config.samples];
         let averaged = combine(&matrices, &weights).unwrap();

@@ -5,8 +5,8 @@ use marqsim_markov::combine::combine_refs;
 use marqsim_markov::TransitionMatrix;
 use marqsim_pauli::Hamiltonian;
 
-use crate::gate_cancel::{gate_cancellation_matrix_with, gate_cancellation_matrix_with_basis};
-use crate::perturb::{random_perturbation_matrix_warm_with, random_perturbation_matrix_with};
+use crate::gate_cancel::gate_cancellation_matrix_with;
+use crate::perturb::random_perturbation_matrix_with;
 use crate::qdrift::qdrift_matrix;
 use crate::{CompileError, SolverKind, TransitionStrategy};
 
@@ -26,7 +26,8 @@ pub fn build_transition_matrix(
     ham: &Hamiltonian,
     strategy: &TransitionStrategy,
 ) -> Result<TransitionMatrix, CompileError> {
-    build_transition_matrix_with_components(ham, strategy, None)
+    build_transition_matrix_with(ham, strategy, None, SolverKind::default())
+        .map(|(matrix, _)| matrix)
 }
 
 /// Returns `true` if `strategy` needs the gate-cancellation component `P_gc`
@@ -35,113 +36,25 @@ pub fn strategy_uses_gate_cancellation(strategy: &TransitionStrategy) -> bool {
     !matches!(strategy, TransitionStrategy::QDrift)
 }
 
-/// Like [`build_transition_matrix`], but reuses a previously solved `P_gc`
-/// when one is supplied instead of re-solving the min-cost-flow model — the
-/// dominant cost of transition-matrix construction. `P_gc` depends only on
-/// the Hamiltonian (not on the strategy weights), so a caller compiling the
-/// same Hamiltonian under several strategies — or at many sweep points — can
-/// solve it once; the `marqsim-engine` transition cache is that caller.
+/// Like [`build_transition_matrix`] with an explicit min-cost-flow backend
+/// for every flow solve the strategy performs, optionally reusing a
+/// previously solved `P_gc` instead of re-solving the min-cost-flow model —
+/// the dominant cost of transition-matrix construction. `P_gc` depends only
+/// on the Hamiltonian (not on the strategy weights), so a caller compiling
+/// the same Hamiltonian under several strategies — or at many sweep points —
+/// can solve it once; the `marqsim-engine` transition cache is that caller.
 ///
-/// `cached_gc` must have been produced by
-/// [`gate_cancellation_matrix`](crate::gate_cancel::gate_cancellation_matrix)
-/// for this exact `ham`; the Theorem 4.1 validation of the final matrix is
-/// performed either way.
-///
-/// # Errors
-///
-/// Same contract as [`build_transition_matrix`].
-pub fn build_transition_matrix_with_components(
-    ham: &Hamiltonian,
-    strategy: &TransitionStrategy,
-    cached_gc: Option<&TransitionMatrix>,
-) -> Result<TransitionMatrix, CompileError> {
-    build_transition_matrix_solved_by(ham, strategy, cached_gc, SolverKind::default())
-}
-
-/// Like [`build_transition_matrix_with_components`] with an explicit
-/// min-cost-flow backend for every flow solve the strategy performs (the
-/// `P_gc` model when no cached component is supplied, and each perturbed
-/// `P_rp` sample).
-///
-/// # Errors
-///
-/// Same contract as [`build_transition_matrix`].
-pub fn build_transition_matrix_solved_by(
-    ham: &Hamiltonian,
-    strategy: &TransitionStrategy,
-    cached_gc: Option<&TransitionMatrix>,
-    solver: SolverKind,
-) -> Result<TransitionMatrix, CompileError> {
-    if !strategy.weights_are_valid() {
-        return Err(CompileError::InvalidConfig {
-            reason: format!("invalid combination weights in {strategy:?}"),
-        });
-    }
-    // A supplied component is borrowed straight into the combination — no
-    // clone of the n × n matrix — so component reuse stays cheap even for
-    // thousand-term Hamiltonians.
-    let mut solved_gc = None;
-    let p_gc: Option<&TransitionMatrix> = if strategy_uses_gate_cancellation(strategy) {
-        Some(match cached_gc {
-            Some(m) => m,
-            None => solved_gc.insert(gate_cancellation_matrix_with(ham, solver)?),
-        })
-    } else {
-        None
-    };
-    let p_qd = qdrift_matrix(ham);
-    let matrix = match strategy {
-        TransitionStrategy::QDrift => p_qd,
-        TransitionStrategy::GateCancellation { qdrift_weight } => {
-            let p_gc = p_gc.expect("GC strategies carry a P_gc component");
-            combine_refs(&[&p_qd, p_gc], &[*qdrift_weight, 1.0 - *qdrift_weight])?
-        }
-        TransitionStrategy::GateCancellationRandomPerturbation {
-            qdrift_weight,
-            gc_weight,
-            perturbation,
-        } => {
-            let p_gc = p_gc.expect("GC strategies carry a P_gc component");
-            let p_rp = random_perturbation_matrix_with(ham, perturbation, solver)?;
-            let rp_weight = 1.0 - qdrift_weight - gc_weight;
-            combine_refs(
-                &[&p_qd, p_gc, &p_rp],
-                &[*qdrift_weight, *gc_weight, rp_weight],
-            )?
-        }
-        TransitionStrategy::Combined {
-            qdrift_weight,
-            gc_weight,
-            rp_weight,
-            perturbation,
-        } => {
-            let p_gc = p_gc.expect("GC strategies carry a P_gc component");
-            let p_rp = random_perturbation_matrix_with(ham, perturbation, solver)?;
-            combine_refs(
-                &[&p_qd, p_gc, &p_rp],
-                &[*qdrift_weight, *gc_weight, *rp_weight],
-            )?
-        }
-    };
-
-    let pi = ham.stationary_distribution();
-    validate_theorem_4_1(&matrix, &pi)?;
-    Ok(matrix)
-}
-
-/// Like [`build_transition_matrix_solved_by`], but solving every `P_rp`
-/// perturbation sample as a **warm re-pivot** from the `P_gc` spanning
-/// basis instead of a cold solve — the perturbation changes only edge
-/// costs, so the `P_gc` basis always matches the samples' networks.
-///
-/// `cached_gc` optionally supplies the previously solved `P_gc` matrix
-/// *and* the basis its solve exported (the engine's transition cache
-/// persists both). When absent, `P_gc` is solved here and its basis
-/// feeds the samples directly — the basis is a pure function of
-/// `(ham, solver)`, so cached and uncached builds produce identical
-/// matrices. Backends without warm support (`ssp`) degrade to cold
-/// solves throughout and report zero warm starts, leaving the default
-/// pipeline byte-identical to [`build_transition_matrix_solved_by`].
+/// `cached_gc` supplies the `P_gc` matrix *and* the basis its solve
+/// exported, as returned by
+/// [`gate_cancellation_matrix_with`]
+/// for this exact `ham` and `solver`. When absent, `P_gc` is solved here.
+/// Either way every `P_rp` perturbation sample is solved as a **warm
+/// re-pivot** from the `P_gc` basis — the perturbation changes only edge
+/// costs, so that basis always matches the samples' networks. The basis
+/// is a pure function of `(ham, solver)`, so cached and uncached builds
+/// produce identical matrices. Backends without warm support (`ssp`)
+/// export no basis and solve every sample cold. The Theorem 4.1
+/// validation of the final matrix is performed either way.
 ///
 /// Returns the matrix and the number of flow solves that actually
 /// re-pivoted a saved basis.
@@ -149,7 +62,7 @@ pub fn build_transition_matrix_solved_by(
 /// # Errors
 ///
 /// Same contract as [`build_transition_matrix`].
-pub fn build_transition_matrix_solved_by_warm(
+pub fn build_transition_matrix_with(
     ham: &Hamiltonian,
     strategy: &TransitionStrategy,
     cached_gc: Option<(&TransitionMatrix, Option<&SpanningBasis>)>,
@@ -166,7 +79,8 @@ pub fn build_transition_matrix_solved_by_warm(
             match cached_gc {
                 Some((matrix, basis)) => (Some(matrix), basis),
                 None => {
-                    let pair = solved.insert(gate_cancellation_matrix_with_basis(ham, solver)?);
+                    let (matrix, _, basis) = gate_cancellation_matrix_with(ham, solver)?;
+                    let pair = solved.insert((matrix, basis));
                     (Some(&pair.0), pair.1.as_ref())
                 }
             }
@@ -188,7 +102,7 @@ pub fn build_transition_matrix_solved_by_warm(
         } => {
             let p_gc = p_gc.expect("GC strategies carry a P_gc component");
             let (p_rp, warm) =
-                random_perturbation_matrix_warm_with(ham, perturbation, solver, gc_basis)?;
+                random_perturbation_matrix_with(ham, perturbation, solver, gc_basis)?;
             warm_starts += warm;
             let rp_weight = 1.0 - qdrift_weight - gc_weight;
             combine_refs(
@@ -204,7 +118,7 @@ pub fn build_transition_matrix_solved_by_warm(
         } => {
             let p_gc = p_gc.expect("GC strategies carry a P_gc component");
             let (p_rp, warm) =
-                random_perturbation_matrix_warm_with(ham, perturbation, solver, gc_basis)?;
+                random_perturbation_matrix_with(ham, perturbation, solver, gc_basis)?;
             warm_starts += warm;
             combine_refs(
                 &[&p_qd, p_gc, &p_rp],
@@ -297,8 +211,13 @@ mod tests {
             TransitionStrategy::marqsim_gc_rp(),
         ] {
             let fresh = build_transition_matrix(&ham, &strategy).unwrap();
-            let reused =
-                build_transition_matrix_with_components(&ham, &strategy, Some(&p_gc)).unwrap();
+            let (reused, _) = build_transition_matrix_with(
+                &ham,
+                &strategy,
+                Some((&p_gc, None)),
+                SolverKind::default(),
+            )
+            .unwrap();
             assert_eq!(fresh.rows(), reused.rows(), "{strategy:?}");
         }
         assert!(!strategy_uses_gate_cancellation(

@@ -12,12 +12,12 @@
 //!
 //! # Architecture
 //!
-//! The storage layer is a [`ShardedLru`](crate::shard::ShardedLru): entries
+//! The storage layer is a [`ShardedLru`]: entries
 //! are spread over per-mutex shards selected by the fingerprint (distinct
 //! Hamiltonians never contend on one lock) and each shard is bounded by an
 //! LRU entry cap, so a long-lived service cannot leak memory through the
 //! cache. An opt-in persistence layer spills solved `P_gc` matrices to a
-//! directory in a versioned binary format (see [`crate::persist`]) and
+//! directory in a versioned binary format (see the `persist` module) and
 //! loads them back in later processes, which makes repeated benchmark and
 //! CI runs nearly free. Configure all three axes with [`CacheConfig`]; the
 //! engine wires them to `MARQSIM_CACHE_CAP` and `MARQSIM_CACHE_DIR`.
@@ -40,10 +40,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use marqsim_core::gate_cancel::gate_cancellation_matrix_with_basis;
-use marqsim_core::transition::{
-    build_transition_matrix_solved_by_warm, strategy_uses_gate_cancellation,
-};
+use marqsim_core::gate_cancel::gate_cancellation_matrix_with;
+use marqsim_core::transition::{build_transition_matrix_with, strategy_uses_gate_cancellation};
 use marqsim_core::{CompileError, HttGraph, SolverKind, SpanningBasis, TransitionStrategy};
 use marqsim_markov::TransitionMatrix;
 use marqsim_obs::{metrics, trace};
@@ -537,7 +535,7 @@ impl TransitionCache {
         } else {
             None
         };
-        let (matrix, warm_starts) = build_transition_matrix_solved_by_warm(
+        let (matrix, warm_starts) = build_transition_matrix_with(
             &working,
             strategy,
             cached_gc
@@ -556,7 +554,7 @@ impl TransitionCache {
     /// Returns the `P_gc` component for `ham`, splitting dominant terms
     /// first (the same normalization [`get_or_build`](Self::get_or_build)
     /// applies) and serving the result from memory, then disk, then a fresh
-    /// min-cost-flow solve.
+    /// min-cost-flow solve under the cache's default backend.
     ///
     /// This is the public entry point for callers that want the flow solve
     /// itself cached/persisted without building a full graph — `table2`
@@ -569,38 +567,8 @@ impl TransitionCache {
         &self,
         ham: &Hamiltonian,
     ) -> Result<Arc<TransitionMatrix>, CompileError> {
-        self.get_or_solve_gc_with(ham, self.flow_solver)
-    }
-
-    /// Like [`get_or_solve_gc`](Self::get_or_solve_gc) with an explicit
-    /// min-cost-flow backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates min-cost-flow solver failures.
-    pub fn get_or_solve_gc_with(
-        &self,
-        ham: &Hamiltonian,
-        solver: SolverKind,
-    ) -> Result<Arc<TransitionMatrix>, CompileError> {
-        self.gc_component(&ham.split_if_dominant(), solver)
+        self.gc_component(&ham.split_if_dominant(), self.flow_solver)
             .map(|component| component.matrix)
-    }
-
-    /// Like [`get_or_solve_gc_with`](Self::get_or_solve_gc_with), returning
-    /// the full [`GcComponent`] — matrix plus the solve's spanning basis —
-    /// for callers that warm-start their own follow-up solves (the
-    /// perturbation-average workload).
-    ///
-    /// # Errors
-    ///
-    /// Propagates min-cost-flow solver failures.
-    pub fn get_or_solve_gc_component_with(
-        &self,
-        ham: &Hamiltonian,
-        solver: SolverKind,
-    ) -> Result<GcComponent, CompileError> {
-        self.gc_component(&ham.split_if_dominant(), solver)
     }
 
     /// Records `count` warm-started flow re-pivots into the cache's stats
@@ -642,8 +610,8 @@ impl TransitionCache {
         working: &Hamiltonian,
         solver: SolverKind,
     ) -> Result<GcComponent, CompileError> {
-        // Direct component callers may hand us `auto`; resolve on the
-        // working (split) term count so memory keys, disk file names, and
+        // `get_or_solve_gc` may hand us `auto`; resolve on the working
+        // (split) term count so memory keys, disk file names, and
         // per-backend solve attribution all see a concrete backend.
         let solver = solver.resolve_for_strings(working.num_terms());
         let fp = hamiltonian_fingerprint(working);
@@ -672,7 +640,7 @@ impl TransitionCache {
             }
         }
         self.record_flow_solve(solver);
-        let (matrix, basis) = gate_cancellation_matrix_with_basis(working, solver)?;
+        let (matrix, _, basis) = gate_cancellation_matrix_with(working, solver)?;
         let gc = GcComponent {
             matrix: Arc::new(matrix),
             basis: basis.map(Arc::new),
@@ -1009,6 +977,73 @@ mod tests {
         cache.clear();
         assert_eq!(cache.stats(), CacheStats::default());
         assert!(hits.get() > hits_before);
+    }
+
+    #[test]
+    fn cached_builds_match_uncached_builds_bit_for_bit_on_every_backend() {
+        // The cache feeds its stored `P_gc` matrix and basis into the same
+        // transition builder `HttGraph::build_with_solver` runs uncached;
+        // the two must agree to the bit, whether the component was solved
+        // in this cache or reloaded from a persist dir.
+        let ham = Hamiltonian::parse(
+            "0.9 ZZZZ + 0.8 ZZIZ + 0.7 XXII + 0.6 IYYI + 0.5 IIZZ + 0.4 XYXY + 0.3 IZIZ + 0.2 YYII",
+        )
+        .unwrap();
+        let strategies = [
+            TransitionStrategy::marqsim_gc(),
+            TransitionStrategy::marqsim_gc_rp(),
+        ];
+        let bits = |graph: &HttGraph| -> Vec<Vec<u64>> {
+            graph
+                .transition_matrix()
+                .rows()
+                .iter()
+                .map(|row| row.iter().map(|p| p.to_bits()).collect())
+                .collect()
+        };
+        for solver in SolverKind::ALL {
+            let dir = temp_dir(&format!("uncached-parity-{solver}"));
+            let config = CacheConfig::default().with_persist_dir(&dir);
+            let fresh = TransitionCache::with_config(config.clone());
+            // A second cache on the same dir: a simulated new process.
+            let reloaded = TransitionCache::with_config(config);
+            for strategy in &strategies {
+                let uncached = HttGraph::build_with_solver(&ham, strategy, solver).unwrap();
+                let cached = fresh.get_or_build_with(&ham, strategy, solver).unwrap();
+                assert_eq!(
+                    bits(&cached),
+                    bits(&uncached),
+                    "{solver} {strategy:?}: fresh cache"
+                );
+                let from_disk = reloaded.get_or_build_with(&ham, strategy, solver).unwrap();
+                assert_eq!(
+                    bits(&from_disk),
+                    bits(&uncached),
+                    "{solver} {strategy:?}: P_gc reloaded from disk"
+                );
+            }
+            let fresh_stats = fresh.stats();
+            let reloaded_stats = reloaded.stats();
+            assert_eq!(fresh_stats.flow_solves, 1, "{solver}");
+            assert_eq!(
+                reloaded_stats.flow_solves, 0,
+                "{solver}: P_gc came from disk"
+            );
+            assert_eq!(reloaded_stats.disk_hits, 1, "{solver}");
+            if solver == SolverKind::NetworkSimplex {
+                assert!(
+                    fresh_stats.warm_starts > 0,
+                    "GC-RP re-pivots the P_gc basis"
+                );
+                assert!(
+                    reloaded_stats.warm_starts > 0,
+                    "the reloaded basis is re-pivoted too"
+                );
+            } else {
+                assert_eq!(fresh_stats.warm_starts, 0, "{solver} exports no basis");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

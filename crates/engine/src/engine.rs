@@ -64,8 +64,11 @@ impl EngineConfig {
     /// * `MARQSIM_CACHE_CAP=N` — LRU entry cap per cache shard
     ///   (`0` = unbounded, default [`DEFAULT_CACHE_CAP`](crate::cache::DEFAULT_CACHE_CAP));
     /// * `MARQSIM_CACHE_DIR=PATH` — enable `P_gc` disk persistence;
-    /// * `MARQSIM_FLOW_SOLVER=ssp|network_simplex` — default min-cost-flow
-    ///   backend for every flow solve this engine performs.
+    /// * `MARQSIM_FLOW_SOLVER=ssp|network_simplex|auto` — default
+    ///   min-cost-flow backend for every flow solve this engine performs
+    ///   (default `auto`: `ssp` up to
+    ///   [`SolverKind::AUTO_SSP_MAX_STRINGS`] strings, `network_simplex`
+    ///   above).
     ///
     /// Unset or empty variables keep their defaults.
     ///

@@ -82,9 +82,10 @@
 //!   (`0` = unbounded; default [`cache::DEFAULT_CACHE_CAP`]).
 //! * `MARQSIM_CACHE_DIR=PATH` — persist solved `P_gc` matrices under
 //!   `PATH` and reload them in later processes.
-//! * `MARQSIM_FLOW_SOLVER=ssp|network_simplex` — default min-cost-flow
-//!   backend ([`SolverKind`]); per-job override via
-//!   [`SubmitOptions::with_flow_solver`].
+//! * `MARQSIM_FLOW_SOLVER=ssp|network_simplex|auto` — default min-cost-flow
+//!   backend ([`SolverKind`]; default `auto`, which picks `ssp` up to
+//!   [`SolverKind::AUTO_SSP_MAX_STRINGS`] strings and `network_simplex`
+//!   above); per-job override via [`SubmitOptions::with_flow_solver`].
 //!
 //! # Example
 //!
@@ -659,7 +660,11 @@ mod tests {
         // The reference: serial combination of the independently seeded
         // samples the workload is specified to average.
         let matrices: Vec<_> = (0..config.samples)
-            .map(|i| perturbed_matrix_sample(&ham(), &config, i).unwrap())
+            .map(|i| {
+                perturbed_matrix_sample(&ham(), &config, i, SolverKind::default(), None)
+                    .unwrap()
+                    .0
+            })
             .collect();
         let weights = vec![1.0 / config.samples as f64; config.samples];
         let expected = combine(&matrices, &weights).unwrap();

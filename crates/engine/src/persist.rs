@@ -290,9 +290,7 @@ impl<'a> Cursor<'a> {
 mod tests {
     use super::*;
     use crate::cache::hamiltonian_fingerprint;
-    use marqsim_core::gate_cancel::{
-        gate_cancellation_matrix, gate_cancellation_matrix_with_basis,
-    };
+    use marqsim_core::gate_cancel::{gate_cancellation_matrix, gate_cancellation_matrix_with};
 
     fn ham() -> Hamiltonian {
         Hamiltonian::parse("1.0 IIIZ + 0.5 IIZZ + 0.4 XXYY + 0.1 ZXZY").unwrap()
@@ -324,8 +322,8 @@ mod tests {
         let dir = temp_dir("basis-roundtrip");
         let ham = ham();
         let fp = hamiltonian_fingerprint(&ham);
-        let (matrix, basis) =
-            gate_cancellation_matrix_with_basis(&ham, SolverKind::NetworkSimplex).unwrap();
+        let (matrix, _, basis) =
+            gate_cancellation_matrix_with(&ham, SolverKind::NetworkSimplex).unwrap();
         let basis = basis.expect("network simplex exports its optimal basis");
         save_component(
             &dir,
@@ -474,8 +472,8 @@ mod tests {
         let dir = temp_dir("corrupt-basis");
         let ham = ham();
         let fp = hamiltonian_fingerprint(&ham);
-        let (matrix, basis) =
-            gate_cancellation_matrix_with_basis(&ham, SolverKind::NetworkSimplex).unwrap();
+        let (matrix, _, basis) =
+            gate_cancellation_matrix_with(&ham, SolverKind::NetworkSimplex).unwrap();
         let basis = basis.unwrap();
         save_component(
             &dir,

@@ -25,8 +25,8 @@
 //! half-updated in a way that matters.
 //!
 //! **Lock order.** All shard acquisition funnels through
-//! [`ShardedLru::lock_shard`] (one shard) or
-//! [`ShardedLru::lock_all_ascending`] (every shard, by ascending index —
+//! `ShardedLru::lock_shard` (one shard) or
+//! `ShardedLru::lock_all_ascending` (every shard, by ascending index —
 //! the workspace convention for multi-shard operations, documented in
 //! `docs/analysis.md`). Both register with the debug-build lock witness
 //! (`marqsim_obs::lockcheck`), which panics on a descending same-family
@@ -81,7 +81,7 @@ pub struct ShardedLru<B, K, V> {
 }
 
 /// Rounds a requested shard count to the actual one: at least 1, at most
-/// [`MAX_AUTO_SHARDS`], always a power of two (so shard selection is a mask).
+/// `MAX_AUTO_SHARDS` (64), always a power of two (so shard selection is a mask).
 /// `0` means "auto": the machine's available parallelism.
 pub fn resolve_shard_count(requested: usize) -> usize {
     let base = if requested == 0 {

@@ -50,10 +50,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use marqsim_core::experiment::{SweepConfig, SweepResult};
-use marqsim_core::perturb::{
-    perturbed_matrix_sample_warm_with, perturbed_matrix_sample_with,
-    perturbed_matrix_sample_with_basis, PerturbationConfig,
-};
+use marqsim_core::perturb::{perturbed_matrix_sample, PerturbationConfig};
 use marqsim_core::{HttGraph, SolverKind, TransitionStrategy};
 use marqsim_markov::combine::combine;
 use marqsim_markov::TransitionMatrix;
@@ -762,23 +759,17 @@ impl Workload for PerturbAverageWorkload {
         // warm-start from it in parallel. The basis is a pure function of
         // (ham, config, solver), so the averaged matrix stays deterministic
         // for every thread count; backends without warm support export no
-        // basis and each sample solves cold exactly as before.
-        let (first, basis) =
-            perturbed_matrix_sample_with_basis(&self.hamiltonian, &config, 0, solver)
+        // basis and each sample solves cold.
+        let (first, _, basis) =
+            perturbed_matrix_sample(&self.hamiltonian, &config, 0, solver, None)
                 .map_err(|e| EngineError::compile(&self.label, e))?;
         ctx.report(1, self.config.samples);
         let basis = basis.map(Arc::new);
-        let shared_basis = basis.clone();
         let rest = ctx
             .map((1..self.config.samples).collect(), move |_idx, sample| {
-                match shared_basis.as_deref() {
-                    Some(basis) => {
-                        perturbed_matrix_sample_warm_with(&ham, &config, sample, solver, basis)
-                    }
-                    None => perturbed_matrix_sample_with(&ham, &config, sample, solver)
-                        .map(|matrix| (matrix, false)),
-                }
-                .map_err(|e| EngineError::compile(&label, e))
+                perturbed_matrix_sample(&ham, &config, sample, solver, basis.as_deref())
+                    .map(|(matrix, flow, _)| (matrix, flow.warm_start))
+                    .map_err(|e| EngineError::compile(&label, e))
             })
             .into_iter()
             .collect::<Result<Vec<(TransitionMatrix, bool)>, EngineError>>()?;

@@ -10,7 +10,7 @@
 //! Products of ladder operators expand into sums of Pauli strings with
 //! complex coefficients; a Hermitian fermionic operator always collapses to a
 //! real-coefficient [`Hamiltonian`]. This is the same mapping the paper's
-//! benchmark pipeline uses (Jordan & Wigner [30], via Qiskit Nature).
+//! benchmark pipeline uses (Jordan & Wigner \[30\], via Qiskit Nature).
 
 use std::collections::HashMap;
 

@@ -82,8 +82,8 @@ pub fn topology_fingerprint(network: &FlowNetwork, source: usize, sink: usize, a
 
 /// A saved optimal spanning-tree basis from a network-simplex solve: the
 /// per-arc basis states and flows for every real arc plus the artificial
-/// root arcs, guarded by a topology fingerprint (see the
-/// [module docs](self)). Node potentials are deliberately *not* stored —
+/// root arcs, guarded by a topology fingerprint (see
+/// [`topology_fingerprint`]). Node potentials are deliberately *not* stored —
 /// they depend on the costs and are recomputed at warm start.
 #[derive(Debug, Clone)]
 pub struct SpanningBasis {

@@ -78,97 +78,32 @@ impl std::error::Error for BipartiteError {}
 /// A very large capacity standing in for the paper's `∞` on inner edges.
 const INF_CAPACITY: f64 = 1e18;
 
-/// Solves the bipartite transportation problem with the default backend
-/// ([`SolverKind::SuccessiveShortestPath`]).
+/// Solves the bipartite transportation problem with the `solver` backend,
+/// optionally warm-started from a saved basis, and returns the optimal
+/// flow with the basis the solve ends on (`None` for backends without warm
+/// support).
 ///
 /// `allow(i, j)` controls which inner edges exist; MarQSim's gate-cancellation
 /// model excludes the diagonal (`i == j`) to rule out the trivial identity
 /// transition matrix.
+///
+/// The network topology, and hence the basis fingerprint, depends only on
+/// the marginal and the `allow` relation, so solves that differ only in
+/// their cost matrix (the `P_rp` perturbation-sampling shape) can
+/// warm-start from each other's bases. A `warm` basis that does not match
+/// (different marginal or `allow` relation), or a backend without warm
+/// support, degrades to a cold solve — [`BipartiteFlow::warm_start`]
+/// reports what actually happened.
+///
+/// Every backend produces the same optimal cost and the same
+/// [`BipartiteError`] classification, warm or cold; the flows themselves
+/// may differ between backends when the optimum is not unique.
 ///
 /// # Errors
 ///
 /// Returns a [`BipartiteError`] if the inputs are malformed or the problem is
 /// infeasible (e.g. a single state with its self-edge excluded).
 pub fn solve<F>(
-    marginal: &[f64],
-    costs: &[Vec<f64>],
-    allow: F,
-) -> Result<BipartiteFlow, BipartiteError>
-where
-    F: FnMut(usize, usize) -> bool,
-{
-    solve_with(SolverKind::default(), marginal, costs, allow)
-}
-
-/// Like [`solve`] with an explicit min-cost-flow backend.
-///
-/// Every backend produces the same optimal cost and the same
-/// [`BipartiteError`] classification; the flows themselves may differ
-/// between backends when the optimum is not unique.
-///
-/// # Errors
-///
-/// Same contract as [`solve`].
-pub fn solve_with<F>(
-    solver: SolverKind,
-    marginal: &[f64],
-    costs: &[Vec<f64>],
-    allow: F,
-) -> Result<BipartiteFlow, BipartiteError>
-where
-    F: FnMut(usize, usize) -> bool,
-{
-    solve_inner(solver, marginal, costs, allow, None).map(|(flow, _)| flow)
-}
-
-/// Like [`solve_with`], additionally returning the backend's optimal
-/// [`SpanningBasis`] (`None` for backends without warm support). The
-/// basis can warm-start a later [`solve_warm_with`] over the *same*
-/// marginal and `allow` relation — the network topology, and hence the
-/// basis fingerprint, depends only on those two inputs, so solves that
-/// differ only in their cost matrix (the `P_rp` perturbation-sampling
-/// shape) reuse each other's bases.
-///
-/// # Errors
-///
-/// Same contract as [`solve`].
-pub fn solve_with_basis<F>(
-    solver: SolverKind,
-    marginal: &[f64],
-    costs: &[Vec<f64>],
-    allow: F,
-) -> Result<(BipartiteFlow, Option<SpanningBasis>), BipartiteError>
-where
-    F: FnMut(usize, usize) -> bool,
-{
-    solve_inner(solver, marginal, costs, allow, None)
-}
-
-/// Warm-start re-solve of the transportation problem from a basis saved
-/// by an earlier [`solve_with_basis`] / [`solve_warm_with`] call. A
-/// basis whose fingerprint does not match this network (different
-/// marginal or `allow` relation), or a backend without warm support,
-/// silently degrades to a cold solve — check
-/// [`BipartiteFlow::warm_start`] for what actually happened.
-///
-/// # Errors
-///
-/// Same classification as [`solve`] — warm and cold solves report
-/// identical errors.
-pub fn solve_warm_with<F>(
-    solver: SolverKind,
-    marginal: &[f64],
-    costs: &[Vec<f64>],
-    allow: F,
-    basis: &SpanningBasis,
-) -> Result<(BipartiteFlow, Option<SpanningBasis>), BipartiteError>
-where
-    F: FnMut(usize, usize) -> bool,
-{
-    solve_inner(solver, marginal, costs, allow, Some(basis))
-}
-
-fn solve_inner<F>(
     solver: SolverKind,
     marginal: &[f64],
     costs: &[Vec<f64>],
@@ -207,11 +142,9 @@ where
         }
     }
 
-    let (result, basis) = match warm {
-        Some(basis) => net.min_cost_flow_warm(solver, source, sink, 1.0, basis),
-        None => net.min_cost_flow_with_basis(solver, source, sink, 1.0),
-    }
-    .map_err(BipartiteError::Infeasible)?;
+    let (result, basis) = net
+        .solve(solver, source, sink, 1.0, warm)
+        .map_err(BipartiteError::Infeasible)?;
 
     let mut flows = vec![vec![0.0; n]; n];
     for i in 0..n {
@@ -257,7 +190,9 @@ mod tests {
     #[test]
     fn marginals_are_matched_on_both_sides() {
         let (pi, costs) = example_5_1();
-        let sol = solve(&pi, &costs, |i, j| i != j).unwrap();
+        let sol = solve(SolverKind::default(), &pi, &costs, |i, j| i != j, None)
+            .unwrap()
+            .0;
         for i in 0..4 {
             let row_sum: f64 = sol.flows[i].iter().sum();
             let col_sum: f64 = (0..4).map(|k| sol.flows[k][i]).sum();
@@ -277,7 +212,9 @@ mod tests {
     #[test]
     fn diagonal_exclusion_is_respected() {
         let (pi, costs) = example_5_1();
-        let sol = solve(&pi, &costs, |i, j| i != j).unwrap();
+        let sol = solve(SolverKind::default(), &pi, &costs, |i, j| i != j, None)
+            .unwrap()
+            .0;
         for i in 0..4 {
             assert!(sol.flows[i][i].abs() < 1e-12);
         }
@@ -288,7 +225,9 @@ mod tests {
         // Equation (13): the dominant term exchanges flow with the three
         // small terms; small terms route all their mass to the dominant term.
         let (pi, costs) = example_5_1();
-        let sol = solve(&pi, &costs, |i, j| i != j).unwrap();
+        let sol = solve(SolverKind::default(), &pi, &costs, |i, j| i != j, None)
+            .unwrap()
+            .0;
         for j in 1..4 {
             assert!(
                 (sol.flows[j][0] - pi[j]).abs() < 1e-9,
@@ -305,7 +244,9 @@ mod tests {
     #[test]
     fn allowing_the_diagonal_yields_the_trivial_zero_cost_solution() {
         let (pi, costs) = example_5_1();
-        let sol = solve(&pi, &costs, |_, _| true).unwrap();
+        let sol = solve(SolverKind::default(), &pi, &costs, |_, _| true, None)
+            .unwrap()
+            .0;
         assert!(sol.cost.abs() < 1e-9);
         for i in 0..4 {
             assert!((sol.flows[i][i] - pi[i]).abs() < 1e-9);
@@ -316,11 +257,18 @@ mod tests {
     fn invalid_marginal_rejected() {
         let costs = vec![vec![0.0; 2]; 2];
         assert!(matches!(
-            solve(&[0.5, 0.6], &costs, |_, _| true).unwrap_err(),
+            solve(
+                SolverKind::default(),
+                &[0.5, 0.6],
+                &costs,
+                |_, _| true,
+                None
+            )
+            .unwrap_err(),
             BipartiteError::InvalidMarginal { .. }
         ));
         assert!(matches!(
-            solve(&[], &[], |_, _| true).unwrap_err(),
+            solve(SolverKind::default(), &[], &[], |_, _| true, None).unwrap_err(),
             BipartiteError::InvalidMarginal { .. }
         ));
     }
@@ -329,7 +277,14 @@ mod tests {
     fn cost_shape_mismatch_rejected() {
         let costs = vec![vec![0.0; 3]; 2];
         assert!(matches!(
-            solve(&[0.5, 0.5], &costs, |_, _| true).unwrap_err(),
+            solve(
+                SolverKind::default(),
+                &[0.5, 0.5],
+                &costs,
+                |_, _| true,
+                None
+            )
+            .unwrap_err(),
             BipartiteError::CostShapeMismatch { .. }
         ));
     }
@@ -338,7 +293,7 @@ mod tests {
     fn single_state_without_self_edge_is_infeasible() {
         let costs = vec![vec![0.0]];
         assert!(matches!(
-            solve(&[1.0], &costs, |i, j| i != j).unwrap_err(),
+            solve(SolverKind::default(), &[1.0], &costs, |i, j| i != j, None).unwrap_err(),
             BipartiteError::Infeasible(_)
         ));
     }
@@ -351,7 +306,7 @@ mod tests {
             let costs = vec![vec![0.0; 2]; 2];
             assert!(
                 matches!(
-                    solve_with(kind, &[0.5, 0.6], &costs, |_, _| true).unwrap_err(),
+                    solve(kind, &[0.5, 0.6], &costs, |_, _| true, None).unwrap_err(),
                     BipartiteError::InvalidMarginal { .. }
                 ),
                 "{kind}"
@@ -359,7 +314,7 @@ mod tests {
             let ragged = vec![vec![0.0; 3]; 2];
             assert!(
                 matches!(
-                    solve_with(kind, &[0.5, 0.5], &ragged, |_, _| true).unwrap_err(),
+                    solve(kind, &[0.5, 0.5], &ragged, |_, _| true, None).unwrap_err(),
                     BipartiteError::CostShapeMismatch { .. }
                 ),
                 "{kind}"
@@ -367,7 +322,7 @@ mod tests {
             let single = vec![vec![0.0]];
             assert!(
                 matches!(
-                    solve_with(kind, &[1.0], &single, |i, j| i != j).unwrap_err(),
+                    solve(kind, &[1.0], &single, |i, j| i != j, None).unwrap_err(),
                     BipartiteError::Infeasible(_)
                 ),
                 "{kind}"
@@ -378,8 +333,12 @@ mod tests {
     #[test]
     fn both_backends_find_the_paper_example_optimum() {
         let (pi, costs) = example_5_1();
-        let ssp = solve(&pi, &costs, |i, j| i != j).unwrap();
-        let simplex = solve_with(SolverKind::NetworkSimplex, &pi, &costs, |i, j| i != j).unwrap();
+        let ssp = solve(SolverKind::default(), &pi, &costs, |i, j| i != j, None)
+            .unwrap()
+            .0;
+        let simplex = solve(SolverKind::NetworkSimplex, &pi, &costs, |i, j| i != j, None)
+            .unwrap()
+            .0;
         assert!(
             (ssp.cost - simplex.cost).abs() < 1e-9,
             "ssp {} vs simplex {}",
@@ -398,7 +357,9 @@ mod tests {
         let n = 6;
         let pi = vec![1.0 / n as f64; n];
         let costs = vec![vec![1.0; n]; n];
-        let sol = solve(&pi, &costs, |i, j| i != j).unwrap();
+        let sol = solve(SolverKind::default(), &pi, &costs, |i, j| i != j, None)
+            .unwrap()
+            .0;
         assert!((sol.cost - 1.0).abs() < 1e-9);
         let total: f64 = sol.flows.iter().flatten().sum();
         assert!((total - 1.0).abs() < 1e-9);
@@ -435,15 +396,14 @@ mod tests {
                 let pi: Vec<f64> = raw.iter().map(|x| x / total).collect();
                 let n = pi.len();
                 for kind in SolverKind::ALL {
-                    let (_, basis) = solve_with_basis(kind, &pi, costs_a, |i, j| i != j)
+                    let (_, basis) = solve(kind, &pi, costs_a, |i, j| i != j, None)
                         .map_err(|e| format!("{kind}: seed solve failed: {e}"))?;
-                    let cold = solve_with(kind, &pi, costs_b, |i, j| i != j)
+                    let (cold, _) = solve(kind, &pi, costs_b, |i, j| i != j, None)
                         .map_err(|e| format!("{kind}: cold solve failed: {e}"))?;
                     let warm = match basis {
                         Some(basis) => {
-                            let (warm, _) =
-                                solve_warm_with(kind, &pi, costs_b, |i, j| i != j, &basis)
-                                    .map_err(|e| format!("{kind}: warm solve failed: {e}"))?;
+                            let (warm, _) = solve(kind, &pi, costs_b, |i, j| i != j, Some(&basis))
+                                .map_err(|e| format!("{kind}: warm solve failed: {e}"))?;
                             if !warm.warm_start {
                                 return Err(format!(
                                     "{kind}: matching basis was not reused for the warm solve"
@@ -495,7 +455,9 @@ mod tests {
         let costs: Vec<Vec<f64>> = (0..n)
             .map(|_| (0..n).map(|_| (next() * 10.0).round()).collect())
             .collect();
-        let sol = solve(&pi, &costs, |i, j| i != j).unwrap();
+        let sol = solve(SolverKind::default(), &pi, &costs, |i, j| i != j, None)
+            .unwrap()
+            .0;
         for i in 0..n {
             let row_sum: f64 = sol.flows[i].iter().sum();
             assert!((row_sum - pi[i]).abs() < 1e-7);

@@ -95,7 +95,7 @@ pub struct FlowResult {
     pub warm_start: bool,
     /// Per-solve profiling filled in by the backend (pivot/iteration count
     /// and phase timings); published to the metrics registry by
-    /// [`FlowNetwork::min_cost_flow_with`].
+    /// [`FlowNetwork::solve`].
     pub profile: SolveProfile,
 }
 
@@ -191,7 +191,7 @@ impl FlowNetwork {
 
     /// Computes a minimum-cost flow of `amount` units from `source` to
     /// `sink` with the default backend
-    /// ([`SolverKind::SuccessiveShortestPath`]).
+    /// ([`SolverKind::SuccessiveShortestPath`]), solved cold.
     ///
     /// # Errors
     ///
@@ -203,71 +203,33 @@ impl FlowNetwork {
         sink: usize,
         amount: f64,
     ) -> Result<FlowResult, FlowError> {
-        self.min_cost_flow_with(SolverKind::default(), source, sink, amount)
-    }
-
-    /// Like [`min_cost_flow`](Self::min_cost_flow) with an explicit backend.
-    ///
-    /// Every solve through this entry point is telemetered: one
-    /// `flow_solve` trace span, plus per-backend registry instruments
-    /// (solve counters, latency/phase histograms, pivot and
-    /// Bellman–Ford-skip counters — see `docs/observability.md`).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`min_cost_flow`](Self::min_cost_flow).
-    pub fn min_cost_flow_with(
-        &self,
-        solver: SolverKind,
-        source: usize,
-        sink: usize,
-        amount: f64,
-    ) -> Result<FlowResult, FlowError> {
-        self.solve_telemetered(solver, source, sink, amount, None)
+        self.solve(SolverKind::default(), source, sink, amount, None)
             .map(|(result, _)| result)
     }
 
-    /// Like [`min_cost_flow_with`](Self::min_cost_flow_with), additionally
-    /// returning the solver's optimal [`SpanningBasis`] when the backend
-    /// supports warm starts (`None` for `ssp`). Telemetered identically.
+    /// Computes a minimum-cost flow of `amount` units from `source` to
+    /// `sink` with the `solver` backend, optionally warm-started from a
+    /// saved basis, and returns the result with the basis the solve ends
+    /// on (`None` for backends without warm support, such as `ssp`).
+    ///
+    /// A `warm` basis whose topology matches this instance is re-priced
+    /// under this network's costs and re-pivoted to optimality (see
+    /// [`MinCostFlowSolver::solve`]); a mismatched basis, or a backend
+    /// without warm support, degrades to a cold solve, and
+    /// [`FlowResult::warm_start`] reports which happened. `Auto` resolves
+    /// to a concrete backend first.
+    ///
+    /// Every solve is telemetered: one `flow_solve` trace span, plus
+    /// per-backend registry instruments (solve counters, latency/phase
+    /// histograms, pivot and Bellman–Ford-skip counters, and on an actual
+    /// warm start `marqsim_flow_warm_starts_total` and
+    /// `marqsim_flow_repivot_seconds` — see `docs/observability.md`).
     ///
     /// # Errors
     ///
-    /// Same contract as [`min_cost_flow`](Self::min_cost_flow).
-    pub fn min_cost_flow_with_basis(
-        &self,
-        solver: SolverKind,
-        source: usize,
-        sink: usize,
-        amount: f64,
-    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
-        self.solve_telemetered(solver, source, sink, amount, None)
-    }
-
-    /// Warm-start re-solve from a saved basis (see
-    /// [`MinCostFlowSolver::solve_warm`]): a matching basis is re-priced
-    /// under this network's costs and re-pivoted to optimality; a
-    /// mismatched basis or a backend without warm support degrades to a
-    /// cold solve. On an actual warm start the solve additionally bumps
-    /// `marqsim_flow_warm_starts_total` and records the re-pivot time in
-    /// `marqsim_flow_repivot_seconds`.
-    ///
-    /// # Errors
-    ///
-    /// Same classification as [`min_cost_flow`](Self::min_cost_flow) —
+    /// Same contract as [`min_cost_flow`](Self::min_cost_flow) —
     /// infeasibility reports identically warm or cold.
-    pub fn min_cost_flow_warm(
-        &self,
-        solver: SolverKind,
-        source: usize,
-        sink: usize,
-        amount: f64,
-        basis: &SpanningBasis,
-    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
-        self.solve_telemetered(solver, source, sink, amount, Some(basis))
-    }
-
-    fn solve_telemetered(
+    pub fn solve(
         &self,
         solver: SolverKind,
         source: usize,
@@ -289,11 +251,7 @@ impl FlowNetwork {
             .field("edges", self.edges.len())
             .field("warm", warm_requested);
         let started = Instant::now();
-        let backend = solver.solver();
-        let result = match warm {
-            Some(basis) => backend.solve_warm(self, source, sink, amount, basis),
-            None => backend.solve_with_basis(self, source, sink, amount),
-        };
+        let result = solver.solver().solve(self, source, sink, amount, warm);
         let elapsed = started.elapsed().as_secs_f64();
         let instruments = backend_metrics(solver);
         instruments.solve_seconds.record(elapsed);
@@ -346,7 +304,16 @@ pub trait MinCostFlowSolver: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Computes a minimum-cost flow of `amount` units from `source` to
-    /// `sink`.
+    /// `sink`, optionally warm-started from a saved basis, and returns the
+    /// result with the backend's optimal basis (`None` for backends
+    /// without warm support).
+    ///
+    /// A backend with warm support re-prices a `warm` basis under this
+    /// network's costs and re-pivots to optimality instead of starting
+    /// from scratch; a basis whose topology fingerprint does not match the
+    /// instance is never applied. A backend without warm support ignores
+    /// `warm` and solves cold. [`FlowResult::warm_start`] reports whether
+    /// the basis was actually reused.
     ///
     /// On networks without negative-cost cycles every backend returns the
     /// same optimal cost. With such a cycle present, backends legitimately
@@ -358,58 +325,15 @@ pub trait MinCostFlowSolver: Send + Sync {
     /// Returns [`FlowError::Infeasible`] (carrying how much flow *could* be
     /// routed) if the network cannot carry the requested amount, or
     /// [`FlowError::InvalidNode`] for out-of-range endpoints — the same
-    /// classification for every backend.
+    /// classification for every backend, warm or cold.
     fn solve(
         &self,
         network: &FlowNetwork,
         source: usize,
         sink: usize,
         amount: f64,
-    ) -> Result<FlowResult, FlowError>;
-
-    /// Like [`solve`](Self::solve), additionally returning the solver's
-    /// optimal basis when the backend supports warm starts (`None`
-    /// otherwise — the default implementation). The basis can seed
-    /// [`solve_warm`](Self::solve_warm) on later same-topology instances.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`solve`](Self::solve).
-    fn solve_with_basis(
-        &self,
-        network: &FlowNetwork,
-        source: usize,
-        sink: usize,
-        amount: f64,
-    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
-        self.solve(network, source, sink, amount)
-            .map(|result| (result, None))
-    }
-
-    /// Re-solves from a saved basis: re-prices the basis under this
-    /// network's costs and re-pivots to optimality instead of starting
-    /// from scratch. The default implementation ignores the basis and
-    /// solves cold (the `ssp` fallback), so every backend accepts a warm
-    /// request; [`FlowResult::warm_start`] reports whether the basis was
-    /// actually reused. A basis whose topology fingerprint does not match
-    /// the instance is never applied.
-    ///
-    /// # Errors
-    ///
-    /// Identical classification to [`solve`](Self::solve) — in particular
-    /// an infeasible instance reports the same
-    /// [`FlowError::Infeasible`] whether solved warm or cold.
-    fn solve_warm(
-        &self,
-        network: &FlowNetwork,
-        source: usize,
-        sink: usize,
-        amount: f64,
-        basis: &SpanningBasis,
-    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
-        let _ = basis;
-        self.solve_with_basis(network, source, sink, amount)
-    }
+        warm: Option<&SpanningBasis>,
+    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError>;
 }
 
 /// The registered backends, selectable end to end (engine `CacheConfig`,
@@ -438,59 +362,6 @@ pub enum SolverKind {
 
 static SSP: SuccessiveShortestPath = SuccessiveShortestPath;
 static SIMPLEX: NetworkSimplex = NetworkSimplex;
-static AUTO: AutoSolver = AutoSolver;
-
-/// [`MinCostFlowSolver`] adapter for [`SolverKind::Auto`]: delegates each
-/// solve to the backend [`SolverKind::resolve_for_nodes`] picks for the
-/// network at hand, so `SolverKind::solver()` stays total. The returned
-/// [`FlowResult::solver`] names the *resolved* backend, never `"auto"`.
-struct AutoSolver;
-
-impl AutoSolver {
-    fn resolved(network: &FlowNetwork) -> &'static dyn MinCostFlowSolver {
-        SolverKind::Auto
-            .resolve_for_nodes(network.num_nodes())
-            .solver()
-    }
-}
-
-impl MinCostFlowSolver for AutoSolver {
-    fn name(&self) -> &'static str {
-        "auto"
-    }
-
-    fn solve(
-        &self,
-        network: &FlowNetwork,
-        source: usize,
-        sink: usize,
-        amount: f64,
-    ) -> Result<FlowResult, FlowError> {
-        Self::resolved(network).solve(network, source, sink, amount)
-    }
-
-    fn solve_with_basis(
-        &self,
-        network: &FlowNetwork,
-        source: usize,
-        sink: usize,
-        amount: f64,
-    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
-        Self::resolved(network).solve_with_basis(network, source, sink, amount)
-    }
-
-    fn solve_warm(
-        &self,
-        network: &FlowNetwork,
-        source: usize,
-        sink: usize,
-        amount: f64,
-        basis: &SpanningBasis,
-    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
-        Self::resolved(network).solve_warm(network, source, sink, amount, basis)
-    }
-}
-
 /// Cached global-registry handles for one backend — registered once, so
 /// the per-solve record path is atomics only.
 struct BackendMetrics {
@@ -612,15 +483,14 @@ impl SolverKind {
         self.resolve_for_strings(num_nodes.saturating_sub(2) / 2)
     }
 
-    /// The backend implementation. Total over every kind: `Auto` returns an
-    /// adapter that resolves per network, though the telemetered solve
-    /// entry points resolve *before* reaching it so instruments and spans
+    /// The backend implementation of a concrete kind. [`FlowNetwork::solve`]
+    /// resolves `Auto` before dispatching here, so instruments and spans
     /// always name a concrete backend.
-    pub fn solver(self) -> &'static dyn MinCostFlowSolver {
+    pub(crate) fn solver(self) -> &'static dyn MinCostFlowSolver {
         match self {
             SolverKind::SuccessiveShortestPath => &SSP,
             SolverKind::NetworkSimplex => &SIMPLEX,
-            SolverKind::Auto => &AUTO,
+            SolverKind::Auto => unreachable!("`auto` is resolved before dispatch"),
         }
     }
 }
@@ -703,12 +573,11 @@ mod tests {
         assert!(!SolverKind::ALL.contains(&SolverKind::Auto));
         assert!(SolverKind::SELECTABLE.contains(&SolverKind::Auto));
         assert!("nope".parse::<SolverKind>().unwrap_err().contains("auto"));
-        // `solver()` is total, and a solve through the auto policy reports
-        // the *resolved* backend, never "auto".
-        assert_eq!(SolverKind::Auto.solver().name(), "auto");
+        // A solve through the auto policy reports the *resolved* backend,
+        // never "auto".
         let mut net = FlowNetwork::new(2);
         net.add_edge(0, 1, 1.0, 1.0);
-        let r = net.min_cost_flow_with(SolverKind::Auto, 0, 1, 1.0).unwrap();
+        let (r, _) = net.solve(SolverKind::Auto, 0, 1, 1.0, None).unwrap();
         assert_eq!(r.solver, "ssp");
         assert!((r.cost - 1.0).abs() < 1e-12);
     }
@@ -732,8 +601,8 @@ mod tests {
             net.add_edge(u, v, c, w);
         }
         let resolved = SolverKind::Auto.resolve_for_nodes(net.num_nodes());
-        let auto = net.min_cost_flow_with(SolverKind::Auto, 0, 5, 2.5).unwrap();
-        let direct = net.min_cost_flow_with(resolved, 0, 5, 2.5).unwrap();
+        let (auto, _) = net.solve(SolverKind::Auto, 0, 5, 2.5, None).unwrap();
+        let (direct, _) = net.solve(resolved, 0, 5, 2.5, None).unwrap();
         assert_eq!(auto.solver, direct.solver);
         assert_eq!(auto.cost.to_bits(), direct.cost.to_bits());
         assert_eq!(auto.edge_flows.len(), direct.edge_flows.len());
@@ -747,7 +616,7 @@ mod tests {
         for kind in both() {
             let mut net = FlowNetwork::new(2);
             let e = net.add_edge(0, 1, 2.0, 3.0);
-            let r = net.min_cost_flow_with(kind, 0, 1, 1.5).unwrap();
+            let (r, _) = net.solve(kind, 0, 1, 1.5, None).unwrap();
             assert!((r.cost - 4.5).abs() < 1e-9, "{kind}");
             assert!((r.edge_flows[e] - 1.5).abs() < 1e-9, "{kind}");
             assert_eq!(r.solver, kind.as_str());
@@ -762,7 +631,7 @@ mod tests {
             let cheap_b = net.add_edge(1, 3, 1.0, 1.0);
             let pricey_a = net.add_edge(0, 2, 1.0, 5.0);
             let pricey_b = net.add_edge(2, 3, 1.0, 5.0);
-            let r = net.min_cost_flow_with(kind, 0, 3, 1.0).unwrap();
+            let (r, _) = net.solve(kind, 0, 3, 1.0, None).unwrap();
             assert!((r.cost - 2.0).abs() < 1e-9, "{kind}");
             assert!((r.edge_flows[cheap_a] - 1.0).abs() < 1e-9, "{kind}");
             assert!((r.edge_flows[cheap_b] - 1.0).abs() < 1e-9, "{kind}");
@@ -779,7 +648,7 @@ mod tests {
             net.add_edge(1, 3, 1.0, 1.0);
             net.add_edge(0, 2, 1.0, 5.0);
             net.add_edge(2, 3, 1.0, 5.0);
-            let r = net.min_cost_flow_with(kind, 0, 3, 2.0).unwrap();
+            let (r, _) = net.solve(kind, 0, 3, 2.0, None).unwrap();
             assert!((r.cost - 12.0).abs() < 1e-9, "{kind}");
         }
     }
@@ -789,7 +658,7 @@ mod tests {
         for kind in both() {
             let mut net = FlowNetwork::new(2);
             net.add_edge(0, 1, 1.0, 1.0);
-            let err = net.min_cost_flow_with(kind, 0, 1, 2.0).unwrap_err();
+            let err = net.solve(kind, 0, 1, 2.0, None).unwrap_err();
             match err {
                 FlowError::Infeasible { routed, requested } => {
                     assert!((routed - 1.0).abs() < 1e-9, "{kind}: routed {routed}");
@@ -805,7 +674,7 @@ mod tests {
         for kind in both() {
             let net = FlowNetwork::new(2);
             assert_eq!(
-                net.min_cost_flow_with(kind, 0, 5, 1.0).unwrap_err(),
+                net.solve(kind, 0, 5, 1.0, None).unwrap_err(),
                 FlowError::InvalidNode {
                     node: 5,
                     num_nodes: 2
@@ -832,7 +701,7 @@ mod tests {
                 .iter()
                 .map(|&(u, v, c, w)| net.add_edge(u, v, c, w))
                 .collect();
-            let r = net.min_cost_flow_with(kind, 0, 4, 1.5).unwrap();
+            let (r, _) = net.solve(kind, 0, 4, 1.5, None).unwrap();
             // Net flow into each interior node equals net flow out.
             for node in 1..=3 {
                 let mut balance = 0.0;
@@ -868,7 +737,7 @@ mod tests {
             net.add_edge(1, 2, 1.0, -8.0);
             net.add_edge(1, 3, 1.0, 10.0);
             net.add_edge(2, 3, 1.0, 1.0);
-            let r = net.min_cost_flow_with(kind, 0, 3, 2.0).unwrap();
+            let (r, _) = net.solve(kind, 0, 3, 2.0, None).unwrap();
             assert!((r.cost - 22.0).abs() < 1e-9, "{kind}: cost {}", r.cost);
             assert!((r.amount - 2.0).abs() < 1e-12, "{kind}");
         }
@@ -881,7 +750,7 @@ mod tests {
             let a = net.add_edge(0, 1, 0.3, 1.0);
             let b = net.add_edge(0, 1, 0.7, 2.0);
             let c = net.add_edge(1, 2, 1.0, 0.0);
-            let r = net.min_cost_flow_with(kind, 0, 2, 1.0).unwrap();
+            let (r, _) = net.solve(kind, 0, 2, 1.0, None).unwrap();
             assert!((r.edge_flows[a] - 0.3).abs() < 1e-9, "{kind}");
             assert!((r.edge_flows[b] - 0.7).abs() < 1e-9, "{kind}");
             assert!((r.edge_flows[c] - 1.0).abs() < 1e-9, "{kind}");
@@ -894,7 +763,7 @@ mod tests {
         for kind in both() {
             let mut net = FlowNetwork::new(2);
             net.add_edge(0, 1, 1.0, 7.0);
-            let r = net.min_cost_flow_with(kind, 0, 1, 0.0).unwrap();
+            let (r, _) = net.solve(kind, 0, 1, 0.0, None).unwrap();
             assert_eq!(r.cost, 0.0, "{kind}");
             assert!(r.edge_flows.iter().all(|&f| f == 0.0), "{kind}");
         }
@@ -920,44 +789,10 @@ mod tests {
         // The simplex backend never reports a skip.
         let mut net = FlowNetwork::new(2);
         net.add_edge(0, 1, 1.0, 1.0);
-        let r = net
-            .min_cost_flow_with(SolverKind::NetworkSimplex, 0, 1, 1.0)
+        let (r, _) = net
+            .solve(SolverKind::NetworkSimplex, 0, 1, 1.0, None)
             .unwrap();
         assert!(!r.bellman_ford_skipped);
-    }
-
-    #[test]
-    fn solves_fill_profiles_and_registry_instruments() {
-        let registry = metrics::global();
-        for kind in both() {
-            let backend: &[(&str, &str)] = &[("backend", kind.as_str())];
-            let solves = registry.counter_with("marqsim_flow_solves_total", backend);
-            let pivots = registry.counter_with("marqsim_flow_pivots_total", backend);
-            let seconds = registry.histogram_with("marqsim_flow_solve_seconds", backend);
-            let (solves_before, pivots_before, count_before) =
-                (solves.get(), pivots.get(), seconds.count());
-
-            let mut net = FlowNetwork::new(3);
-            net.add_edge(0, 1, 2.0, 1.0);
-            net.add_edge(1, 2, 2.0, 1.0);
-            let r = net.min_cost_flow_with(kind, 0, 2, 1.0).unwrap();
-            assert!(r.profile.pivots >= 1, "{kind}: at least one iteration");
-            assert!(r.profile.init_seconds >= 0.0, "{kind}");
-            assert!(r.profile.optimize_seconds >= 0.0, "{kind}");
-
-            assert_eq!(solves.get(), solves_before + 1, "{kind}");
-            assert_eq!(pivots.get(), pivots_before + r.profile.pivots, "{kind}");
-            assert_eq!(seconds.count(), count_before + 1, "{kind}");
-        }
-
-        // Errors land in the error counter, not the solve counter.
-        let errors =
-            registry.counter_with("marqsim_flow_solve_errors_total", &[("backend", "ssp")]);
-        let errors_before = errors.get();
-        let mut net = FlowNetwork::new(2);
-        net.add_edge(0, 1, 1.0, 1.0);
-        let _ = net.min_cost_flow(0, 1, 5.0).unwrap_err();
-        assert_eq!(errors.get(), errors_before + 1);
     }
 
     #[test]
@@ -979,11 +814,11 @@ mod tests {
         for &(u, v, c, w) in &arcs {
             net.add_edge(u, v, c, w);
         }
-        let a = net
-            .min_cost_flow_with(SolverKind::SuccessiveShortestPath, 0, 5, 2.5)
+        let (a, _) = net
+            .solve(SolverKind::SuccessiveShortestPath, 0, 5, 2.5, None)
             .unwrap();
-        let b = net
-            .min_cost_flow_with(SolverKind::NetworkSimplex, 0, 5, 2.5)
+        let (b, _) = net
+            .solve(SolverKind::NetworkSimplex, 0, 5, 2.5, None)
             .unwrap();
         assert!(
             (a.cost - b.cost).abs() < 1e-9,

@@ -9,27 +9,33 @@
 //!
 //! * [`FlowNetwork`] — a directed flow network with real-valued capacities
 //!   and costs (Definition 2.7), stored as an immutable edge list.
-//! * [`MinCostFlowSolver`] — the backend trait: `name()` plus
-//!   `solve(&network, source, sink, amount)`. Backends build their own
-//!   per-solve working state over a shared CSR residual core (`csr`), so
-//!   adding a solver never touches the network type or its callers.
+//!   [`FlowNetwork::solve`] is the one telemetered solve entry point: it
+//!   takes the backend and an optional warm-start basis and returns the
+//!   result with the basis the solve ends on. [`FlowNetwork::min_cost_flow`]
+//!   is its cold, default-backend shorthand.
+//! * [`MinCostFlowSolver`] — the backend trait: `name()` plus one
+//!   `solve(&network, source, sink, amount, warm)`. Backends build their
+//!   own per-solve working state over a shared CSR residual core (`csr`),
+//!   so adding a solver never touches the network type or its callers.
 //! * [`SolverKind`] — the registered backends:
 //!   [`SolverKind::SuccessiveShortestPath`] (`ssp`, the default — Johnson
 //!   potentials with a Dijkstra inner loop, preserving the historical
 //!   solver's arc-order tie-breaking, with a recorded Bellman–Ford skip
 //!   when all costs are non-negative) and [`SolverKind::NetworkSimplex`]
 //!   (`network_simplex` — primal network simplex on a spanning-tree basis
-//!   with a block-search pivot rule).
+//!   with a block-search pivot rule), plus the [`SolverKind::Auto`] size
+//!   policy, which resolves to one of the two before every solve.
 //! * [`bipartite`] — the MarQSim-shaped bipartite transportation network:
 //!   given a marginal distribution `π` and a cost matrix, it returns the
 //!   optimal flow between `Prev` and `Next` copies of the states, under any
-//!   backend ([`bipartite::solve_with`]).
+//!   backend ([`bipartite::solve`]).
 //! * [`SpanningBasis`] — warm-start re-solves: the network simplex exports
 //!   its optimal spanning-tree basis, and a later solve over the same
 //!   topology with different costs re-prices and re-pivots from it
-//!   ([`FlowNetwork::min_cost_flow_warm`]) instead of rebuilding from the
-//!   artificial root — the cost-perturbation shape of `P_rp` sampling and
-//!   sweep grids. Backends without warm support fall back to cold solves.
+//!   instead of rebuilding from the artificial root — the
+//!   cost-perturbation shape of `P_rp` sampling and sweep grids. `ssp`
+//!   exports no basis and ignores one it is given, so its warm path is
+//!   its cold path.
 //!
 //! On networks **without negative-cost cycles** — which includes every
 //! MarQSim model (CNOT counts are non-negative) — every backend reports
@@ -57,11 +63,14 @@
 //! let result = net.min_cost_flow(0, 3, 1.0).unwrap();
 //! assert!((result.cost - 2.0).abs() < 1e-9);
 //!
-//! // The same solve through the network-simplex backend: equal optimum.
-//! let simplex = net
-//!     .min_cost_flow_with(SolverKind::NetworkSimplex, 0, 3, 1.0)
-//!     .unwrap();
+//! // The same solve through the network-simplex backend: equal optimum,
+//! // plus the optimal basis for warm-starting a re-costed instance.
+//! let (simplex, basis) = net.solve(SolverKind::NetworkSimplex, 0, 3, 1.0, None).unwrap();
 //! assert!((simplex.cost - result.cost).abs() < 1e-9);
+//! let (warm, _) = net
+//!     .solve(SolverKind::NetworkSimplex, 0, 3, 1.0, basis.as_ref())
+//!     .unwrap();
+//! assert!(warm.warm_start);
 //! ```
 
 mod basis;

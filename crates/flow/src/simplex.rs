@@ -71,7 +71,9 @@ const INFEASIBLE_EPS: f64 = 1e-9;
 /// pricing rule falls back to Bland's rule.
 const STALL_FACTOR: usize = 4;
 
-/// The primal network-simplex solver (see the [module docs](self)).
+/// The primal network-simplex solver: a big-M artificial-root basis, a
+/// block-search pivot rule with a Bland's-rule anti-cycling fallback, and
+/// warm starts from a saved [`SpanningBasis`].
 #[derive(Debug, Default)]
 pub struct NetworkSimplex;
 
@@ -113,30 +115,9 @@ impl MinCostFlowSolver for NetworkSimplex {
         source: usize,
         sink: usize,
         amount: f64,
-    ) -> Result<FlowResult, FlowError> {
-        self.run(network, source, sink, amount, None)
-            .map(|(result, _)| result)
-    }
-
-    fn solve_with_basis(
-        &self,
-        network: &FlowNetwork,
-        source: usize,
-        sink: usize,
-        amount: f64,
+        warm: Option<&SpanningBasis>,
     ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
-        self.run(network, source, sink, amount, None)
-    }
-
-    fn solve_warm(
-        &self,
-        network: &FlowNetwork,
-        source: usize,
-        sink: usize,
-        amount: f64,
-        basis: &SpanningBasis,
-    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
-        self.run(network, source, sink, amount, Some(basis))
+        self.run(network, source, sink, amount, warm)
     }
 }
 
@@ -684,10 +665,10 @@ mod tests {
                 }
             }
             let amount = 0.5 + (next() % 3) as f64 * 0.5;
-            let ssp = net.min_cost_flow_with(SolverKind::SuccessiveShortestPath, 0, n - 1, amount);
-            let ns = net.min_cost_flow_with(SolverKind::NetworkSimplex, 0, n - 1, amount);
+            let ssp = net.solve(SolverKind::SuccessiveShortestPath, 0, n - 1, amount, None);
+            let ns = net.solve(SolverKind::NetworkSimplex, 0, n - 1, amount, None);
             match (ssp, ns) {
-                (Ok(a), Ok(b)) => {
+                (Ok((a, _)), Ok((b, _))) => {
                     assert!(
                         (a.cost - b.cost).abs() < 1e-9,
                         "case {case}: ssp {} vs simplex {}",
@@ -718,8 +699,8 @@ mod tests {
         let mut net = FlowNetwork::new(2);
         let a = net.add_edge(0, 1, 1.0, 3.0);
         let b = net.add_edge(0, 1, 2.0, 1.0);
-        let r = net
-            .min_cost_flow_with(SolverKind::NetworkSimplex, 0, 1, 2.5)
+        let (r, _) = net
+            .solve(SolverKind::NetworkSimplex, 0, 1, 2.5, None)
             .unwrap();
         assert!((r.edge_flows[b] - 2.0).abs() < 1e-9, "cheap arc saturates");
         assert!((r.edge_flows[a] - 0.5).abs() < 1e-9);
@@ -731,7 +712,7 @@ mod tests {
         let mut net = FlowNetwork::new(3);
         net.add_edge(0, 1, 5.0, 1.0);
         let err = net
-            .min_cost_flow_with(SolverKind::NetworkSimplex, 0, 2, 1.0)
+            .solve(SolverKind::NetworkSimplex, 0, 2, 1.0, None)
             .unwrap_err();
         match err {
             FlowError::Infeasible { routed, requested } => {
@@ -786,11 +767,11 @@ mod tests {
                 }
             }
             let amount = 0.5 + (next() % 4) as f64 * 0.5;
-            let ssp = net
-                .min_cost_flow_with(SolverKind::SuccessiveShortestPath, 0, n - 1, amount)
+            let (ssp, _) = net
+                .solve(SolverKind::SuccessiveShortestPath, 0, n - 1, amount, None)
                 .unwrap_or_else(|e| panic!("case {case}: ssp failed: {e}"));
-            let ns = net
-                .min_cost_flow_with(SolverKind::NetworkSimplex, 0, n - 1, amount)
+            let (ns, _) = net
+                .solve(SolverKind::NetworkSimplex, 0, n - 1, amount, None)
                 .unwrap_or_else(|e| panic!("case {case}: simplex failed: {e}"));
             let scale = ssp.cost.abs().max(1.0);
             assert!(
@@ -812,7 +793,7 @@ mod tests {
         net.add_edge(2, 3, 2.0, 1.0);
         net.add_edge(1, 2, 1.0, 0.5);
         let (cold, basis) = net
-            .min_cost_flow_with_basis(SolverKind::NetworkSimplex, 0, 3, 2.0)
+            .solve(SolverKind::NetworkSimplex, 0, 3, 2.0, None)
             .unwrap();
         assert!(!cold.warm_start);
         let basis = basis.expect("the simplex exports its basis");
@@ -826,16 +807,16 @@ mod tests {
         recosted.add_edge(2, 3, 2.0, 5.0);
         recosted.add_edge(1, 2, 1.0, 2.0);
         let (warm, warm_basis) = net
-            .min_cost_flow_warm(SolverKind::NetworkSimplex, 0, 3, 2.0, &basis)
+            .solve(SolverKind::NetworkSimplex, 0, 3, 2.0, Some(&basis))
             .unwrap();
         assert!(warm.warm_start, "matching basis must be reused");
         assert!(warm_basis.is_some());
         let (rewarm, _) = recosted
-            .min_cost_flow_warm(SolverKind::NetworkSimplex, 0, 3, 2.0, &basis)
+            .solve(SolverKind::NetworkSimplex, 0, 3, 2.0, Some(&basis))
             .unwrap();
         assert!(rewarm.warm_start);
         let (recold, _) = recosted
-            .min_cost_flow_with_basis(SolverKind::NetworkSimplex, 0, 3, 2.0)
+            .solve(SolverKind::NetworkSimplex, 0, 3, 2.0, None)
             .unwrap();
         assert!(
             (rewarm.cost - recold.cost).abs() < 1e-9,
@@ -851,7 +832,7 @@ mod tests {
         net.add_edge(0, 1, 2.0, 1.0);
         net.add_edge(1, 2, 2.0, 1.0);
         let (_, basis) = net
-            .min_cost_flow_with_basis(SolverKind::NetworkSimplex, 0, 2, 1.0)
+            .solve(SolverKind::NetworkSimplex, 0, 2, 1.0, None)
             .unwrap();
         let basis = basis.unwrap();
 
@@ -859,13 +840,13 @@ mod tests {
         let mut grown = net.clone();
         grown.add_edge(0, 2, 1.0, 10.0);
         let (r, _) = grown
-            .min_cost_flow_warm(SolverKind::NetworkSimplex, 0, 2, 1.0, &basis)
+            .solve(SolverKind::NetworkSimplex, 0, 2, 1.0, Some(&basis))
             .unwrap();
         assert!(!r.warm_start, "fingerprint mismatch must solve cold");
 
         // Amount change invalidates too.
         let (r, _) = net
-            .min_cost_flow_warm(SolverKind::NetworkSimplex, 0, 2, 1.5, &basis)
+            .solve(SolverKind::NetworkSimplex, 0, 2, 1.5, Some(&basis))
             .unwrap();
         assert!(!r.warm_start);
 
@@ -873,7 +854,7 @@ mod tests {
         let mut corrupt = basis.clone();
         corrupt.flows[0] += 0.5;
         let (r, _) = net
-            .min_cost_flow_warm(SolverKind::NetworkSimplex, 0, 2, 1.0, &corrupt)
+            .solve(SolverKind::NetworkSimplex, 0, 2, 1.0, Some(&corrupt))
             .unwrap();
         assert!(!r.warm_start, "corrupt flows must solve cold");
         assert!((r.cost - 2.0).abs() < 1e-9);
@@ -890,7 +871,7 @@ mod tests {
             *state = ArcState::Tree;
         }
         let (r, _) = net
-            .min_cost_flow_warm(SolverKind::NetworkSimplex, 0, 2, 1.0, &no_tree)
+            .solve(SolverKind::NetworkSimplex, 0, 2, 1.0, Some(&no_tree))
             .unwrap();
         assert!((r.cost - 2.0).abs() < 1e-9, "still the right answer");
     }
@@ -902,7 +883,7 @@ mod tests {
         net.add_edge(0, 1, 1.0, 1.0);
         net.add_edge(1, 2, 1.0, 1.0);
         let cold_err = net
-            .min_cost_flow_with(SolverKind::NetworkSimplex, 0, 2, 2.0)
+            .solve(SolverKind::NetworkSimplex, 0, 2, 2.0, None)
             .unwrap_err();
 
         // Build a matching basis from the *feasible* 2.0-capacity variant?
@@ -913,10 +894,10 @@ mod tests {
         // and the cold path classifies. Either way the error must be
         // identical to the cold solve.
         let (_, basis) = net
-            .min_cost_flow_with_basis(SolverKind::NetworkSimplex, 0, 2, 1.0)
+            .solve(SolverKind::NetworkSimplex, 0, 2, 1.0, None)
             .unwrap();
         let warm_err = net
-            .min_cost_flow_warm(SolverKind::NetworkSimplex, 0, 2, 2.0, &basis.unwrap())
+            .solve(SolverKind::NetworkSimplex, 0, 2, 2.0, Some(&basis.unwrap()))
             .unwrap_err();
         assert_eq!(cold_err, warm_err);
         match warm_err {
@@ -957,10 +938,10 @@ mod tests {
                     net.add_edge(1 + side + i, t, cap, cost);
                 }
                 let amount = cap * side as f64;
-                let ns = net.min_cost_flow_with(SolverKind::NetworkSimplex, s, t, amount);
-                let ssp = net.min_cost_flow_with(SolverKind::SuccessiveShortestPath, s, t, amount);
+                let ns = net.solve(SolverKind::NetworkSimplex, s, t, amount, None);
+                let ssp = net.solve(SolverKind::SuccessiveShortestPath, s, t, amount, None);
                 match (ns, ssp) {
-                    (Ok(a), Ok(b)) => {
+                    (Ok((a, _)), Ok((b, _))) => {
                         let scale = b.cost.abs().max(1.0);
                         if (a.cost - b.cost).abs() <= 1e-9 * scale {
                             Ok(())

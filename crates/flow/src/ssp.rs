@@ -20,10 +20,13 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
+use crate::basis::SpanningBasis;
 use crate::csr::{Csr, NO_EDGE};
 use crate::graph::{FlowError, FlowNetwork, FlowResult, MinCostFlowSolver, SolveProfile, CAP_EPS};
 
-/// The successive-shortest-path solver (see the [module docs](self)).
+/// The successive-shortest-path solver: Johnson potentials with a Dijkstra
+/// inner loop over a per-solve CSR residual network, skipping the
+/// Bellman–Ford bootstrap when every cost is non-negative.
 #[derive(Debug, Default)]
 pub struct SuccessiveShortestPath;
 
@@ -58,13 +61,15 @@ impl MinCostFlowSolver for SuccessiveShortestPath {
         "ssp"
     }
 
+    /// Exports no basis, so `warm` is ignored and every solve is cold.
     fn solve(
         &self,
         network: &FlowNetwork,
         source: usize,
         sink: usize,
         amount: f64,
-    ) -> Result<FlowResult, FlowError> {
+        _warm: Option<&SpanningBasis>,
+    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
         network.validate_endpoints(source, sink)?;
         let init_started = Instant::now();
         let n = network.num_nodes();
@@ -134,7 +139,7 @@ impl MinCostFlowSolver for SuccessiveShortestPath {
             remaining -= bottleneck;
         }
 
-        Ok(FlowResult {
+        let result = FlowResult {
             amount,
             cost: total_cost,
             edge_flows,
@@ -146,7 +151,8 @@ impl MinCostFlowSolver for SuccessiveShortestPath {
                 init_seconds,
                 optimize_seconds: optimize_started.elapsed().as_secs_f64(),
             },
-        })
+        };
+        Ok((result, None))
     }
 }
 

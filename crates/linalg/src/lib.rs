@@ -11,13 +11,15 @@
 //! * [`expm`] — matrix exponential via scaling-and-squaring with a truncated
 //!   Taylor series, accurate for the skew-Hermitian exponents `iHt` used in
 //!   quantum simulation.
-//! * [`hermitian_eig`] — a cyclic Jacobi eigensolver for complex Hermitian
+//! * [`hermitian_eigen`] — a cyclic Jacobi eigensolver for complex Hermitian
 //!   matrices (used for exact spectral decompositions in tests).
-//! * [`general_eig`] — eigenvalues of general real matrices via Hessenberg
-//!   reduction followed by shifted complex QR iteration (used for the Markov
-//!   transition-matrix spectra of §5.4 / Fig. 11 / Fig. 15).
-//! * [`solve`] — LU factorization with partial pivoting and linear solves
-//!   (used for stationary-distribution computation).
+//! * [`eigenvalues_general`] / [`eigenvalues_real`] — eigenvalues of general
+//!   real matrices via Hessenberg reduction followed by shifted complex QR
+//!   iteration (used for the Markov transition-matrix spectra of §5.4 /
+//!   Fig. 11 / Fig. 15).
+//! * [`lu_decompose`] / [`solve_linear`] — LU factorization with partial
+//!   pivoting and linear solves (used for stationary-distribution
+//!   computation).
 //!
 //! # Example
 //!

@@ -1,8 +1,8 @@
 //! Deadlines for an event loop: who times out next, and when to wake.
 //!
 //! [`DeadlineWheel`] is an ordered multi-map from [`Instant`] to a
-//! caller-chosen payload. The event loop asks [`next_deadline`]
-//! (`DeadlineWheel::next_deadline`) to bound its poll wait, then calls
+//! caller-chosen payload. The event loop asks
+//! [`next_deadline`](DeadlineWheel::next_deadline) to bound its poll wait, then calls
 //! [`expire`](DeadlineWheel::expire) after every wait to collect whatever
 //! came due. Timers are cancelled by the [`TimerKey`] returned at arm time;
 //! cancellation and expiry both detach the key, so a stale key is a cheap

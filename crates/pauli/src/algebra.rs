@@ -75,7 +75,7 @@ pub fn commutation_matrix(ham: &Hamiltonian) -> Vec<Vec<bool>> {
 
 /// Greedily partitions the Hamiltonian terms into groups of mutually
 /// commutative strings (the grouping used by the "commuting groups" ordering
-/// of Gui et al. [22] and van den Berg & Temme [66]).
+/// of Gui et al. \[22\] and van den Berg & Temme \[66\]).
 ///
 /// Returns the groups as lists of term indices; every index appears in
 /// exactly one group.

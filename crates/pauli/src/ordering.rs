@@ -9,7 +9,7 @@
 //! * [`by_magnitude`] — terms sorted by descending `|h_j|`.
 //! * [`greedy_cancellation`] — a nearest-neighbour ordering that greedily
 //!   maximizes CNOT cancellation between consecutive terms (a
-//!   travelling-salesperson-style heuristic as in Gui et al. [22]).
+//!   travelling-salesperson-style heuristic as in Gui et al. \[22\]).
 //! * [`commuting_groups_first`] — groups mutually commutative terms and
 //!   concatenates the groups.
 

@@ -274,6 +274,7 @@ mod tests {
     #[test]
     fn perturb_average_jobs_round_trip_the_matrix() {
         use marqsim_core::perturb::{perturbed_matrix_sample, PerturbationConfig};
+        use marqsim_core::SolverKind;
         use marqsim_markov::combine::combine;
 
         let server = spawn_server(2);
@@ -293,7 +294,11 @@ mod tests {
             .unwrap();
         let result = client.wait(job).unwrap();
         let matrices: Vec<_> = (0..config.samples)
-            .map(|i| perturbed_matrix_sample(&small, &config, i).unwrap())
+            .map(|i| {
+                perturbed_matrix_sample(&small, &config, i, SolverKind::default(), None)
+                    .unwrap()
+                    .0
+            })
             .collect();
         let expected = combine(&matrices, &[0.25; 4]).unwrap();
         match result.outcome {

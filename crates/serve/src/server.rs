@@ -148,7 +148,7 @@ impl Server {
     /// (`MARQSIM_SERVE_IDLE_TIMEOUT_MS` on the daemon; unset = never).
     /// Inbound bytes are the only activity that counts — a half-open
     /// client with jobs still running *is* reaped, and its jobs are
-    /// cancelled, exactly like a hang-up. The blocking [`Client`]
+    /// cancelled, exactly like a hang-up. The blocking [`Client`](crate::Client)
     /// (`crate::Client`) sends keepalive `status` polls while waiting on a
     /// long job, so well-behaved waiters survive any reasonable timeout.
     pub fn with_idle_timeout(mut self, timeout: Duration) -> Self {

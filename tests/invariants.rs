@@ -14,7 +14,7 @@
 use quickprop::{check, Config, Gen};
 use rand::Rng;
 
-use marqsim::core::gate_cancel::{cnot_cost_matrix, gate_cancellation_matrix_with_cost};
+use marqsim::core::gate_cancel::{cnot_cost_matrix, gate_cancellation_matrix_with};
 use marqsim::core::qdrift::qdrift_matrix;
 use marqsim::core::transition::build_transition_matrix;
 use marqsim::core::{metrics, TransitionStrategy};
@@ -97,7 +97,9 @@ fn gc_matrix_preserves_pi_and_its_cost_is_the_expected_cnot_count() {
         |g| hamiltonian(g).split_if_dominant(),
         |ham| {
             let pi = ham.stationary_distribution();
-            let (p, cost) = gate_cancellation_matrix_with_cost(ham).map_err(|e| e.to_string())?;
+            let (p, flow, _) = gate_cancellation_matrix_with(ham, SolverKind::default())
+                .map_err(|e| e.to_string())?;
+            let cost = flow.cost;
             ok_if(p.preserves_distribution(&pi, 1e-7), || {
                 "P_gc does not preserve pi".to_string()
             })?;
@@ -125,7 +127,8 @@ fn convex_combinations_preserve_stationarity() {
         |(ham, theta)| {
             let pi = ham.stationary_distribution();
             let p_qd = qdrift_matrix(ham);
-            let (p_gc, _) = gate_cancellation_matrix_with_cost(ham).map_err(|e| e.to_string())?;
+            let (p_gc, _, _) = gate_cancellation_matrix_with(ham, SolverKind::default())
+                .map_err(|e| e.to_string())?;
             let blended =
                 combine(&[p_qd, p_gc], &[*theta, 1.0 - theta]).map_err(|e| e.to_string())?;
             ok_if(blended.preserves_distribution(&pi, 1e-7), || {
@@ -309,8 +312,9 @@ fn bipartite_flow_conserves_the_marginals() {
         },
         |(marginal, costs)| {
             let n = marginal.len();
-            let sol =
-                bipartite::solve(marginal, costs, |i, j| i != j).map_err(|e| e.to_string())?;
+            let (sol, _) =
+                bipartite::solve(SolverKind::default(), marginal, costs, |i, j| i != j, None)
+                    .map_err(|e| e.to_string())?;
             for i in 0..n {
                 let row: f64 = sol.flows[i].iter().sum();
                 let col: f64 = (0..n).map(|k| sol.flows[k][i]).sum();
@@ -378,8 +382,9 @@ fn bipartite_flow_is_optimal_against_brute_force_matching() {
         },
         |(marginal, costs)| {
             let n = marginal.len();
-            let sol =
-                bipartite::solve(marginal, costs, |i, j| i != j).map_err(|e| e.to_string())?;
+            let (sol, _) =
+                bipartite::solve(SolverKind::default(), marginal, costs, |i, j| i != j, None)
+                    .map_err(|e| e.to_string())?;
             let mut best = f64::INFINITY;
             permutations(n, &mut |perm| {
                 if perm.iter().enumerate().all(|(i, &j)| i != j) {
@@ -419,7 +424,7 @@ fn every_backend_solves_the_transportation_problem_to_the_same_optimum() {
             let n = marginal.len();
             let mut optima: Vec<(SolverKind, f64)> = Vec::new();
             for kind in SolverKind::ALL {
-                let sol = bipartite::solve_with(kind, marginal, costs, |i, j| i != j)
+                let (sol, _) = bipartite::solve(kind, marginal, costs, |i, j| i != j, None)
                     .map_err(|e| format!("{kind}: {e}"))?;
                 for i in 0..n {
                     let row: f64 = sol.flows[i].iter().sum();
@@ -457,9 +462,14 @@ fn network_simplex_is_optimal_against_brute_force_matching() {
         },
         |(marginal, costs)| {
             let n = marginal.len();
-            let sol =
-                bipartite::solve_with(SolverKind::NetworkSimplex, marginal, costs, |i, j| i != j)
-                    .map_err(|e| e.to_string())?;
+            let (sol, _) = bipartite::solve(
+                SolverKind::NetworkSimplex,
+                marginal,
+                costs,
+                |i, j| i != j,
+                None,
+            )
+            .map_err(|e| e.to_string())?;
             let mut best = f64::INFINITY;
             permutations(n, &mut |perm| {
                 if perm.iter().enumerate().all(|(i, &j)| i != j) {
@@ -494,9 +504,12 @@ fn gc_transition_matrix_agrees_with_the_flow_it_came_from() {
         |ham| {
             let pi = ham.stationary_distribution();
             let costs = cnot_cost_matrix(ham);
-            let flow_sol =
-                bipartite::solve(&pi, &costs, |i, j| i != j).map_err(|e| e.to_string())?;
-            let (_, cost) = gate_cancellation_matrix_with_cost(ham).map_err(|e| e.to_string())?;
+            let (flow_sol, _) =
+                bipartite::solve(SolverKind::default(), &pi, &costs, |i, j| i != j, None)
+                    .map_err(|e| e.to_string())?;
+            let (_, gc_flow, _) = gate_cancellation_matrix_with(ham, SolverKind::default())
+                .map_err(|e| e.to_string())?;
+            let cost = gc_flow.cost;
             ok_if((flow_sol.cost - cost).abs() < 1e-6, || {
                 format!("flow cost {} vs matrix cost {cost}", flow_sol.cost)
             })
