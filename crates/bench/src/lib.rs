@@ -64,7 +64,7 @@ pub fn serve_token() -> Option<String> {
 }
 
 /// Builds the engine every binary routes its compilations through
-/// (`MARQSIM_THREADS` / `MARQSIM_CACHE` / `MARQSIM_CACHE_CAP` /
+/// (`MARQSIM_THREADS` / `MARQSIM_CACHE_CAP` /
 /// `MARQSIM_CACHE_DIR` overrides apply) and prints a one-line banner so
 /// runs record their parallelism. An invalid override is a clear exit-2
 /// diagnostic, never a silent fallback.

@@ -47,6 +47,28 @@ impl Default for PerturbationConfig {
     }
 }
 
+impl PerturbationConfig {
+    /// Checks the configuration before any flow network is built: at least
+    /// one sample, and a finite magnitude (an infinite or NaN magnitude
+    /// would put a non-finite cost on a flow edge). Every `P_rp`
+    /// construction — the GC-RP builder and [`perturbed_matrix_sample`] —
+    /// runs this check first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError::InvalidConfig`] naming the offending field.
+    pub fn validate(&self) -> Result<(), CompileError> {
+        let reason = if self.samples == 0 {
+            "perturbation samples must be at least 1".to_string()
+        } else if !self.magnitude.is_finite() {
+            format!("perturbation magnitude {} is not finite", self.magnitude)
+        } else {
+            return Ok(());
+        };
+        Err(CompileError::InvalidConfig { reason })
+    }
+}
+
 /// Perturbs every off-diagonal cost in place: each entry gains
 /// `config.magnitude` independently with probability `config.probability`,
 /// drawing from `rng` in row-major order.
@@ -73,8 +95,9 @@ fn perturb_costs(costs: &mut [Vec<f64>], rng: &mut StdRng, config: &Perturbation
 ///
 /// # Errors
 ///
-/// Propagates failures of the underlying flow solves or of the final
-/// averaging step.
+/// Returns [`CompileError::InvalidConfig`] for a configuration
+/// [`PerturbationConfig::validate`] rejects; propagates failures of the
+/// underlying flow solves or of the final averaging step.
 pub fn random_perturbation_matrix(
     ham: &Hamiltonian,
     config: &PerturbationConfig,
@@ -110,7 +133,7 @@ pub fn random_perturbation_matrix_with(
     solver: SolverKind,
     gc_basis: Option<&SpanningBasis>,
 ) -> Result<(TransitionMatrix, u64), CompileError> {
-    assert!(config.samples > 0, "need at least one perturbation sample");
+    config.validate()?;
     let base_costs = cnot_cost_matrix(ham);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut matrices = Vec::with_capacity(config.samples);
@@ -159,8 +182,9 @@ pub fn perturbation_sample_seed(config: &PerturbationConfig, index: usize) -> u6
 ///
 /// # Errors
 ///
-/// Propagates the flow-solve failure — warm and cold solves classify
-/// errors identically.
+/// Returns [`CompileError::InvalidConfig`] for a configuration
+/// [`PerturbationConfig::validate`] rejects; propagates the flow-solve
+/// failure — warm and cold solves classify errors identically.
 pub fn perturbed_matrix_sample(
     ham: &Hamiltonian,
     config: &PerturbationConfig,
@@ -168,6 +192,7 @@ pub fn perturbed_matrix_sample(
     solver: SolverKind,
     warm: Option<&SpanningBasis>,
 ) -> Result<(TransitionMatrix, BipartiteFlow, Option<SpanningBasis>), CompileError> {
+    config.validate()?;
     let mut costs = cnot_cost_matrix(ham);
     let mut rng = StdRng::seed_from_u64(perturbation_sample_seed(config, index));
     perturb_costs(&mut costs, &mut rng, config);
@@ -286,5 +311,57 @@ mod tests {
             mass_with <= mass_without + 1e-9,
             "perturbation should not increase the sub-dominant mass ({mass_with} vs {mass_without})"
         );
+    }
+
+    #[test]
+    fn zero_samples_and_non_finite_magnitudes_are_invalid_configs() {
+        use crate::htt::HttGraph;
+        use crate::TransitionStrategy;
+
+        let ham = example();
+        let bad = [
+            PerturbationConfig {
+                samples: 0,
+                ..Default::default()
+            },
+            PerturbationConfig {
+                magnitude: f64::INFINITY,
+                ..Default::default()
+            },
+            PerturbationConfig {
+                magnitude: f64::NAN,
+                ..Default::default()
+            },
+        ];
+        for config in bad {
+            let gc_rp = TransitionStrategy::GateCancellationRandomPerturbation {
+                qdrift_weight: 0.4,
+                gc_weight: 0.3,
+                perturbation: config,
+            };
+            let combined = TransitionStrategy::Combined {
+                qdrift_weight: 0.4,
+                gc_weight: 0.3,
+                rp_weight: 0.3,
+                perturbation: config,
+            };
+            for strategy in [gc_rp, combined] {
+                for solver in SolverKind::ALL {
+                    let err = HttGraph::build_with_solver(&ham, &strategy, solver).unwrap_err();
+                    assert!(
+                        matches!(err, CompileError::InvalidConfig { .. }),
+                        "{strategy:?} on {solver}: {err}"
+                    );
+                }
+            }
+            for solver in SolverKind::ALL {
+                let err = perturbed_matrix_sample(&ham, &config, 0, solver, None).unwrap_err();
+                assert!(
+                    matches!(err, CompileError::InvalidConfig { .. }),
+                    "{config:?} on {solver}: {err}"
+                );
+            }
+            assert!(random_perturbation_matrix(&ham, &config).is_err());
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Transition-matrix strategies (the experimental configurations of §6.1).
 
 use crate::perturb::PerturbationConfig;
+use crate::CompileError;
 
 /// How the compiler builds the transition matrix it samples from.
 ///
@@ -88,6 +89,26 @@ impl TransitionStrategy {
                 rp_weight,
                 ..
             } => format!("Combined ({qdrift_weight:.2}/{gc_weight:.2}/{rp_weight:.2})"),
+        }
+    }
+
+    /// Checks the strategy before any flow network is built: the weights
+    /// form a valid convex combination and the perturbation component, if
+    /// any, passes [`PerturbationConfig::validate`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError::InvalidConfig`] describing the first problem.
+    pub fn validate(&self) -> Result<(), CompileError> {
+        if !self.weights_are_valid() {
+            return Err(CompileError::InvalidConfig {
+                reason: format!("invalid combination weights in {self:?}"),
+            });
+        }
+        match self {
+            TransitionStrategy::GateCancellationRandomPerturbation { perturbation, .. }
+            | TransitionStrategy::Combined { perturbation, .. } => perturbation.validate(),
+            TransitionStrategy::QDrift | TransitionStrategy::GateCancellation { .. } => Ok(()),
         }
     }
 

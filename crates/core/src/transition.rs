@@ -20,8 +20,9 @@ use crate::{CompileError, SolverKind, TransitionStrategy};
 ///
 /// # Errors
 ///
-/// Returns a [`CompileError`] if any component matrix cannot be built, the
-/// weights are invalid, or the final matrix fails a Theorem 4.1 check.
+/// Returns a [`CompileError`] if the strategy is invalid
+/// ([`TransitionStrategy::validate`]), any component matrix cannot be
+/// built, or the final matrix fails a Theorem 4.1 check.
 pub fn build_transition_matrix(
     ham: &Hamiltonian,
     strategy: &TransitionStrategy,
@@ -68,11 +69,7 @@ pub fn build_transition_matrix_with(
     cached_gc: Option<(&TransitionMatrix, Option<&SpanningBasis>)>,
     solver: SolverKind,
 ) -> Result<(TransitionMatrix, u64), CompileError> {
-    if !strategy.weights_are_valid() {
-        return Err(CompileError::InvalidConfig {
-            reason: format!("invalid combination weights in {strategy:?}"),
-        });
-    }
+    strategy.validate()?;
     let mut solved: Option<(TransitionMatrix, Option<SpanningBasis>)> = None;
     let (p_gc, gc_basis): (Option<&TransitionMatrix>, Option<&SpanningBasis>) =
         if strategy_uses_gate_cancellation(strategy) {

@@ -525,6 +525,9 @@ impl TransitionCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.instruments.misses.inc();
+        // Reject a bad strategy before the `P_gc` solve below builds a flow
+        // network.
+        strategy.validate()?;
 
         // Dominant-term splitting happens before fingerprinting the working
         // Hamiltonian for the component cache: P_gc is a function of the

@@ -2,8 +2,8 @@
 //!
 //! The public job surface is the open [`Workload`] trait (see
 //! [`crate::workload`]); this module owns the machinery underneath it — the
-//! engine itself and the built-in compile/sweep job plumbing with its
-//! deduplicated graph resolution and flattened point-task queue.
+//! engine itself, the two typed batch kinds ([`CompileRequest`] and
+//! [`SweepRequest`]) and their deduplicated graph resolution.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,36 +31,19 @@ use crate::workload::{
 };
 
 /// Engine construction parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
     /// Worker-thread count; `0` means "auto" (all available cores).
     pub threads: usize,
     /// Cache configuration: sharding, the per-shard LRU cap, and the
     /// optional persistence directory.
     pub cache: CacheConfig,
-    /// Whether transition matrices are cached and shared across jobs. With
-    /// the cache disabled each job still builds its HTT graph exactly once,
-    /// but nothing is reused between jobs and nothing touches the
-    /// persistence directory.
-    pub cache_enabled: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            threads: 0,
-            cache: CacheConfig::default(),
-            cache_enabled: true,
-        }
-    }
 }
 
 impl EngineConfig {
     /// Reads the configuration from the environment:
     ///
     /// * `MARQSIM_THREADS=N` — worker count (positive integer);
-    /// * `MARQSIM_CACHE=on|off` (also `1/0`, `true/false`, `yes/no`) —
-    ///   enable/disable the transition cache;
     /// * `MARQSIM_CACHE_CAP=N` — LRU entry cap per cache shard
     ///   (`0` = unbounded, default [`DEFAULT_CACHE_CAP`](crate::cache::DEFAULT_CACHE_CAP));
     /// * `MARQSIM_CACHE_DIR=PATH` — enable `P_gc` disk persistence;
@@ -86,7 +69,6 @@ impl EngineConfig {
         }
         EngineConfig::from_values(
             var("MARQSIM_THREADS").as_deref(),
-            var("MARQSIM_CACHE").as_deref(),
             var("MARQSIM_CACHE_CAP").as_deref(),
             var("MARQSIM_CACHE_DIR").as_deref(),
             var("MARQSIM_FLOW_SOLVER").as_deref(),
@@ -104,7 +86,6 @@ impl EngineConfig {
     /// [`from_env`](Self::from_env).
     pub fn from_values(
         threads: Option<&str>,
-        cache: Option<&str>,
         cache_cap: Option<&str>,
         cache_dir: Option<&str>,
         flow_solver: Option<&str>,
@@ -112,17 +93,6 @@ impl EngineConfig {
         let mut config = EngineConfig::default();
         if let Some(raw) = threads {
             config.threads = EngineConfig::parse_threads("MARQSIM_THREADS", raw)?;
-        }
-        if let Some(raw) = cache {
-            config.cache_enabled = match raw.to_ascii_lowercase().as_str() {
-                "1" | "on" | "true" | "yes" => true,
-                "0" | "off" | "false" | "no" => false,
-                _ => {
-                    return Err(EngineError::invalid_config(format!(
-                        "MARQSIM_CACHE={raw:?} is not a recognized switch (use on/off, 1/0, true/false, yes/no)"
-                    )))
-                }
-            };
         }
         if let Some(raw) = cache_cap {
             config.cache.cap_per_shard = raw.parse::<usize>().map_err(|_| {
@@ -169,12 +139,6 @@ impl EngineConfig {
     /// Sets the worker count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Enables or disables the transition cache.
-    pub fn with_cache(mut self, enabled: bool) -> Self {
-        self.cache_enabled = enabled;
         self
     }
 
@@ -269,46 +233,136 @@ impl SweepRequest {
     }
 }
 
-/// A built-in (compile or sweep) job — the unit the batched machinery
-/// schedules. Public API routes through the [`Workload`] trait; this enum
-/// stays internal so new workload kinds never require engine surgery.
-#[derive(Debug, Clone)]
-pub(crate) enum BuiltinJob {
-    Compile(CompileRequest),
-    Sweep(SweepRequest),
+/// A job kind the batch machinery runs ([`WorkloadCtx`]'s batch step): one
+/// HTT graph per job, expanded into point-level tasks on the shared work
+/// queue, then reassembled into one outcome per job. [`CompileRequest`] and
+/// [`SweepRequest`] are the two kinds. A batch holds one kind, so the type
+/// of every task's output is fixed by the batch's type.
+pub(crate) trait BatchJob: Send + 'static {
+    /// One point-level unit of work.
+    type Task: Send + 'static;
+    /// The output of one task.
+    type Point: Send + 'static;
+    /// The job's reassembled output.
+    type Outcome;
+
+    /// Identifies the job in outcomes and errors.
+    fn label(&self) -> &str;
+    /// The Hamiltonian whose graph the job samples.
+    fn hamiltonian(&self) -> &Hamiltonian;
+    /// The strategy whose graph the job samples.
+    fn strategy(&self) -> &TransitionStrategy;
+    /// The job's tasks over its resolved graph, in output order.
+    fn tasks(&self, graph: &Arc<HttGraph>) -> Vec<Self::Task>;
+    /// Runs one task. The output is a pure function of the task, never of
+    /// scheduling.
+    fn run(task: Self::Task) -> Result<Self::Point, CompileError>;
+    /// Builds the job's outcome from its task outputs, in task order.
+    fn finish(self, points: Vec<Self::Point>) -> Self::Outcome;
 }
 
-impl BuiltinJob {
+impl BatchJob for CompileRequest {
+    type Task = (CompileRequest, Arc<HttGraph>);
+    type Point = CompileOutcome;
+    type Outcome = CompileOutcome;
+
     fn label(&self) -> &str {
-        match self {
-            BuiltinJob::Compile(req) => &req.label,
-            BuiltinJob::Sweep(req) => &req.label,
-        }
+        &self.label
     }
 
     fn hamiltonian(&self) -> &Hamiltonian {
-        match self {
-            BuiltinJob::Compile(req) => &req.hamiltonian,
-            BuiltinJob::Sweep(req) => &req.hamiltonian,
-        }
+        &self.hamiltonian
     }
 
     fn strategy(&self) -> &TransitionStrategy {
-        match self {
-            BuiltinJob::Compile(req) => &req.config.strategy,
-            BuiltinJob::Sweep(req) => &req.strategy,
-        }
+        &self.config.strategy
+    }
+
+    fn tasks(&self, graph: &Arc<HttGraph>) -> Vec<Self::Task> {
+        vec![(self.clone(), Arc::clone(graph))]
+    }
+
+    fn run((request, graph): Self::Task) -> Result<CompileOutcome, CompileError> {
+        let time = request.config.time;
+        let result = Compiler::new(request.config).compile_with_htt(&graph)?;
+        let fidelity = request
+            .evaluate_fidelity
+            .then(|| evaluate_fidelity(&result.hamiltonian, time, &result.sequence));
+        Ok(CompileOutcome {
+            label: request.label,
+            result,
+            fidelity,
+        })
+    }
+
+    fn finish(self, mut points: Vec<CompileOutcome>) -> CompileOutcome {
+        points.pop().expect("one task per compile job")
     }
 }
 
-/// The result of one built-in job.
-#[derive(Debug, Clone)]
-pub(crate) enum BuiltinOutcome {
-    /// Output of a compile job (boxed: a [`CompileResult`] is an order of
-    /// magnitude larger than a sweep handle).
-    Compiled(Box<CompileOutcome>),
-    /// Output of a sweep job.
-    Swept(SweepResult),
+/// One `(ε, repetition)` point of a sweep job.
+pub(crate) struct SweepPoint {
+    graph: Arc<HttGraph>,
+    config: Arc<SweepConfig>,
+    epsilon: f64,
+    seed: u64,
+    /// `exp(iHt)`, shared by every point of the sweep.
+    reference: Arc<ReferenceCell>,
+}
+
+impl BatchJob for SweepRequest {
+    type Task = SweepPoint;
+    type Point = ExperimentPoint;
+    type Outcome = SweepResult;
+
+    fn label(&self) -> &str {
+        &self.label
+    }
+
+    fn hamiltonian(&self) -> &Hamiltonian {
+        &self.hamiltonian
+    }
+
+    fn strategy(&self) -> &TransitionStrategy {
+        &self.strategy
+    }
+
+    fn tasks(&self, graph: &Arc<HttGraph>) -> Vec<SweepPoint> {
+        // One exact unitary per sweep job, computed by the first point that
+        // finishes accumulating.
+        let reference = Arc::new(ReferenceCell::new());
+        let config = Arc::new(self.config.clone());
+        let mut points = Vec::with_capacity(config.epsilons.len() * config.repeats);
+        for (eps_idx, &epsilon) in config.epsilons.iter().enumerate() {
+            for rep in 0..config.repeats {
+                points.push(SweepPoint {
+                    graph: Arc::clone(graph),
+                    config: Arc::clone(&config),
+                    epsilon,
+                    seed: point_seed(&config, eps_idx, rep),
+                    reference: Arc::clone(&reference),
+                });
+            }
+        }
+        points
+    }
+
+    fn run(point: SweepPoint) -> Result<ExperimentPoint, CompileError> {
+        compile_point(
+            &point.graph,
+            &point.config,
+            point.epsilon,
+            point.seed,
+            &point.reference,
+        )
+    }
+
+    fn finish(self, points: Vec<ExperimentPoint>) -> SweepResult {
+        SweepResult {
+            label: self.strategy.label(),
+            points,
+        }
+    }
 }
 
 /// A progress snapshot, reported once per completed unit of work (subject
@@ -330,8 +384,6 @@ pub(crate) type ProgressFn = dyn Fn(Progress) + Send + Sync;
 pub struct Engine {
     pool: ThreadPool,
     cache: Arc<TransitionCache>,
-    progress: Option<Arc<ProgressFn>>,
-    cache_enabled: bool,
     next_job_id: AtomicU64,
     active_jobs: AtomicUsize,
 }
@@ -340,7 +392,6 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("threads", &self.pool.threads())
-            .field("cache_enabled", &self.cache_enabled)
             .field("cache", &self.cache.stats())
             .field("active_jobs", &self.active_jobs())
             .finish()
@@ -359,16 +410,14 @@ impl Engine {
         Engine {
             pool: ThreadPool::new(config.resolved_threads()),
             cache: Arc::new(TransitionCache::with_config(config.cache.clone())),
-            progress: None,
-            cache_enabled: config.cache_enabled,
             next_job_id: AtomicU64::new(1),
             active_jobs: AtomicUsize::new(0),
         }
     }
 
     /// Creates an engine configured from the environment
-    /// (`MARQSIM_THREADS`, `MARQSIM_CACHE`, `MARQSIM_CACHE_CAP`,
-    /// `MARQSIM_CACHE_DIR`). This is what every `marqsim-bench` binary
+    /// (`MARQSIM_THREADS`, `MARQSIM_CACHE_CAP`, `MARQSIM_CACHE_DIR`,
+    /// `MARQSIM_FLOW_SOLVER`). This is what every `marqsim-bench` binary
     /// uses.
     ///
     /// # Errors
@@ -379,16 +428,6 @@ impl Engine {
         Ok(Engine::new(EngineConfig::from_env()?))
     }
 
-    /// Installs a default progress callback for *synchronous* runs
-    /// ([`run_workload`](Self::run_workload), [`compile_many`](Self::compile_many),
-    /// [`run_sweeps`](Self::run_sweeps)), invoked on the calling thread once
-    /// per completed unit. Asynchronous submissions attach their own
-    /// callback via [`submit_with_progress`](Self::submit_with_progress).
-    pub fn with_progress(mut self, callback: impl Fn(Progress) + Send + Sync + 'static) -> Self {
-        self.progress = Some(Arc::new(callback));
-        self
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.pool.threads()
@@ -397,11 +436,6 @@ impl Engine {
     /// The transition cache (for statistics and explicit clearing).
     pub fn cache(&self) -> &TransitionCache {
         &self.cache
-    }
-
-    /// Whether transition-matrix caching is enabled.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache_enabled
     }
 
     /// The engine's default min-cost-flow backend (`MARQSIM_FLOW_SOLVER` /
@@ -427,46 +461,39 @@ impl Engine {
         &self.pool
     }
 
-    fn default_sink(&self) -> ProgressSink {
-        ProgressSink::new(self.progress.clone(), None, ProgressCadence::default())
-    }
-
-    /// The shared plumbing of every *synchronous* built-in run
-    /// ([`compile_many`](Self::compile_many), [`run_sweeps`](Self::run_sweeps)):
-    /// fresh cancel token, engine-level progress sink, normal priority,
-    /// engine-default flow solver.
-    fn run_builtin_default(
+    /// The context of every *synchronous* run ([`run_workload`](Self::run_workload),
+    /// [`compile_many`](Self::compile_many)): fresh cancel token, no
+    /// progress callback, normal priority, engine-default flow solver.
+    fn run_sync<T>(
         &self,
-        jobs: Vec<BuiltinJob>,
-    ) -> Vec<Result<BuiltinOutcome, EngineError>> {
-        let sink = self.default_sink();
-        self.run_builtin(
-            jobs,
-            &CancelToken::new(),
-            &|completed, total| sink.emit(Progress { completed, total }),
+        label: &str,
+        total_units: usize,
+        run: impl FnOnce(&WorkloadCtx<'_>) -> T,
+    ) -> T {
+        let ctx = WorkloadCtx::new(
+            self,
+            label.to_string(),
+            CancelToken::new(),
+            ProgressSink::new(None, None, ProgressCadence::default()),
             Priority::Normal,
             self.flow_solver(),
-        )
+            total_units,
+        );
+        run(&ctx)
     }
 
     /// Runs one workload synchronously on the calling thread (its pool
-    /// fan-out still parallelizes) and returns its output. Progress goes to
-    /// the engine-level [`with_progress`](Self::with_progress) callback.
+    /// fan-out still parallelizes) and returns its output. Progress is
+    /// tracked but reported to no callback; submit the workload to observe
+    /// it.
     ///
     /// # Errors
     ///
     /// Returns the workload's [`EngineError`].
     pub fn run_workload(&self, workload: &dyn Workload) -> Result<WorkloadOutput, EngineError> {
-        let ctx = WorkloadCtx::new(
-            self,
-            workload.label().to_string(),
-            CancelToken::new(),
-            self.default_sink(),
-            Priority::Normal,
-            self.flow_solver(),
-            workload.total_units(),
-        );
-        workload.run(&ctx)
+        self.run_sync(workload.label(), workload.total_units(), |ctx| {
+            workload.run(ctx)
+        })
     }
 
     /// Submits one workload for asynchronous execution and returns
@@ -486,21 +513,10 @@ impl Engine {
         self.submit_with_options(workload, SubmitOptions::default(), |_| {})
     }
 
-    /// Like [`submit`](Self::submit), with a per-job progress callback
-    /// invoked on the coordinator thread (subject to the default
-    /// [`ProgressCadence`]: one event per completed unit). The handle's
-    /// [`progress`](JobHandle::progress) snapshot is updated either way.
-    pub fn submit_with_progress<W: Workload + 'static>(
-        self: &Arc<Self>,
-        workload: W,
-        callback: impl Fn(Progress) + Send + Sync + 'static,
-    ) -> JobHandle {
-        self.submit_with_options(workload, SubmitOptions::default(), callback)
-    }
-
     /// The full submission entry point: explicit [`SubmitOptions`]
     /// (priority, admission bound, progress cadence) plus a per-job
-    /// progress callback.
+    /// progress callback, invoked on the coordinator thread. The handle's
+    /// [`progress`](JobHandle::progress) snapshot is updated either way.
     pub fn submit_with_options<W: Workload + 'static>(
         self: &Arc<Self>,
         workload: W,
@@ -618,23 +634,15 @@ impl Engine {
             .map(WorkloadOutput::into_compiled)
     }
 
-    /// Compiles many requests concurrently; outcomes keep request order.
+    /// Compiles many requests concurrently as one batch; outcomes keep
+    /// request order.
     pub fn compile_many(
         &self,
         requests: Vec<CompileRequest>,
     ) -> Vec<Result<CompileOutcome, EngineError>> {
-        let jobs = requests.into_iter().map(BuiltinJob::Compile).collect();
-        self.run_builtin_default(jobs)
-            .into_iter()
-            .map(|outcome| {
-                outcome.map(|outcome| match outcome {
-                    BuiltinOutcome::Compiled(compiled) => *compiled,
-                    BuiltinOutcome::Swept(_) => {
-                        unreachable!("compile jobs produce compile outcomes")
-                    }
-                })
-            })
-            .collect()
+        self.run_sync("compile_many", requests.len(), |ctx| {
+            ctx.run_batch(requests)
+        })
     }
 
     /// Runs one sweep across the pool. Byte-identical to
@@ -658,23 +666,6 @@ impl Engine {
         .map(WorkloadOutput::into_swept)
     }
 
-    /// Runs many sweeps concurrently on one flattened work queue; outcomes
-    /// keep request order.
-    pub fn run_sweeps(&self, requests: Vec<SweepRequest>) -> Vec<Result<SweepResult, EngineError>> {
-        let jobs = requests.into_iter().map(BuiltinJob::Sweep).collect();
-        self.run_builtin_default(jobs)
-            .into_iter()
-            .map(|outcome| {
-                outcome.map(|outcome| match outcome {
-                    BuiltinOutcome::Swept(sweep) => sweep,
-                    BuiltinOutcome::Compiled(_) => {
-                        unreachable!("sweep jobs produce sweep outcomes")
-                    }
-                })
-            })
-            .collect()
-    }
-
     /// Generic parallel map over the engine's pool: applies `f` to every
     /// item concurrently and returns outputs in input order. Worker panics
     /// become [`EngineError::WorkerPanic`] tagged with `label`, so workload
@@ -692,96 +683,8 @@ impl Engine {
             .collect()
     }
 
-    /// Runs a list of built-in jobs: two-phase execution with deduplicated
-    /// graph resolution and one flattened point-task queue.
-    ///
-    /// Execution has two phases. First every job's HTT graph is resolved
-    /// (through the cache when enabled) with the graph builds themselves
-    /// running on the pool — distinct Hamiltonians' min-cost-flow solves
-    /// proceed concurrently. Then all jobs are expanded into point-level
-    /// tasks (one per compile, one per sweep point) on a single work queue.
-    ///
-    /// Determinism: each task's output is a pure function of its request
-    /// (sweep points use `experiment::point_seed`, the serial seed stream),
-    /// so outcomes are bit-identical for any thread count or priority.
-    pub(crate) fn run_builtin(
-        &self,
-        jobs: Vec<BuiltinJob>,
-        cancel: &CancelToken,
-        on_progress: &(dyn Fn(usize, usize) + Sync),
-        priority: Priority,
-        solver: SolverKind,
-    ) -> Vec<Result<BuiltinOutcome, EngineError>> {
-        // A job cancelled before graph resolution never touches the pool.
-        if cancel.is_cancelled() {
-            return jobs
-                .iter()
-                .map(|job| Err(EngineError::cancelled(job.label())))
-                .collect();
-        }
-        // Phase 1: resolve one HTT graph per job, building on the pool.
-        let graphs = {
-            let _span = trace::Span::enter("resolve_graph")
-                .field("jobs", jobs.len())
-                .field("backend", solver.as_str());
-            self.resolve_graphs(&jobs, priority, solver)
-        };
-
-        // Phase 2: expand into point-level tasks.
-        let mut tasks: Vec<Task> = Vec::new();
-        for (job_idx, (job, graph)) in jobs.iter().zip(&graphs).enumerate() {
-            let graph = match graph {
-                Ok(graph) => Arc::clone(graph),
-                Err(_) => continue,
-            };
-            match job {
-                BuiltinJob::Compile(req) => tasks.push(Task {
-                    job: job_idx,
-                    slot: 0,
-                    kind: TaskKind::Compile {
-                        request: req.clone(),
-                        graph,
-                    },
-                }),
-                BuiltinJob::Sweep(req) => {
-                    // One exact unitary per sweep job, computed by the first
-                    // point that finishes accumulating.
-                    let reference = Arc::new(ReferenceCell::new());
-                    for (eps_idx, &epsilon) in req.config.epsilons.iter().enumerate() {
-                        for rep in 0..req.config.repeats {
-                            tasks.push(Task {
-                                job: job_idx,
-                                slot: eps_idx * req.config.repeats + rep,
-                                kind: TaskKind::SweepPoint {
-                                    graph: Arc::clone(&graph),
-                                    config: req.config.clone(),
-                                    epsilon,
-                                    seed: point_seed(&req.config, eps_idx, rep),
-                                    reference: Arc::clone(&reference),
-                                },
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        let total = tasks.len();
-        let task_meta: Vec<(usize, usize)> = tasks.iter().map(|t| (t.job, t.slot)).collect();
-        let task_cancel = cancel.clone();
-        let outputs = self.pool.map_at(
-            priority,
-            tasks,
-            Arc::new(move |_index: usize, task: Task| task.run(&task_cancel)),
-            |done| on_progress(done, total),
-        );
-
-        // Phase 3: reassemble per job.
-        self.assemble(jobs, graphs, task_meta, outputs)
-    }
-
     /// Resolves each job's HTT graph through the cache, building each
-    /// *distinct* key exactly once.
+    /// *distinct* key exactly once, with the builds running on the pool.
     ///
     /// Same-batch duplicates are deduplicated up front (not left to racing
     /// cache misses), and distinct keys that share a Hamiltonian fingerprint
@@ -789,41 +692,12 @@ impl Engine {
     /// sequentially within one pool task so the second build sees the
     /// first's cached `P_gc` component. Unrelated Hamiltonians' builds
     /// still run concurrently across pool workers.
-    ///
-    /// With the cache disabled every job builds independently (no sharing),
-    /// which is that mode's documented contract.
-    fn resolve_graphs(
+    pub(crate) fn resolve_graphs<J: BatchJob>(
         &self,
-        jobs: &[BuiltinJob],
+        jobs: &[J],
         priority: Priority,
         solver: SolverKind,
     ) -> Vec<Result<Arc<HttGraph>, EngineError>> {
-        if !self.cache_enabled {
-            let inputs: Vec<(Hamiltonian, TransitionStrategy)> = jobs
-                .iter()
-                .map(|job| (job.hamiltonian().clone(), job.strategy().clone()))
-                .collect();
-            return self
-                .pool
-                .map_at(
-                    priority,
-                    inputs,
-                    Arc::new(
-                        move |_idx, (ham, strategy): (Hamiltonian, TransitionStrategy)| {
-                            HttGraph::build_with_solver(&ham, &strategy, solver).map(Arc::new)
-                        },
-                    ),
-                    |_| {},
-                )
-                .into_iter()
-                .zip(jobs)
-                .map(|(result, job)| match result {
-                    Ok(built) => built.map_err(|e| EngineError::compile(job.label(), e)),
-                    Err(message) => Err(EngineError::panic(job.label(), message)),
-                })
-                .collect();
-        }
-
         // Deduplicate: one entry per distinct (Hamiltonian, strategy). The
         // cache key narrows candidates, but duplicates are confirmed by
         // full Hamiltonian equality, mirroring the cache's own
@@ -913,133 +787,5 @@ impl Engine {
                 }
             })
             .collect()
-    }
-
-    fn assemble(
-        &self,
-        jobs: Vec<BuiltinJob>,
-        graphs: Vec<Result<Arc<HttGraph>, EngineError>>,
-        task_meta: Vec<(usize, usize)>,
-        outputs: Vec<Result<TaskOutput, String>>,
-    ) -> Vec<Result<BuiltinOutcome, EngineError>> {
-        // Group task outputs per job; `pool.map` keeps input order, so the
-        // i-th output belongs to the i-th submitted task even when the task
-        // panicked and its output carries no indices of its own.
-        let mut per_job: Vec<Vec<(usize, Result<TaskOutput, String>)>> =
-            jobs.iter().map(|_| Vec::new()).collect();
-        for (&(job, slot), output) in task_meta.iter().zip(outputs) {
-            per_job[job].push((slot, output));
-        }
-
-        jobs.into_iter()
-            .zip(graphs)
-            .zip(per_job)
-            .map(|((job, graph), mut outputs)| {
-                graph?;
-                outputs.sort_by_key(|(slot, _)| *slot);
-                match job {
-                    BuiltinJob::Compile(req) => {
-                        let (_, output) = outputs.pop().expect("one task per compile job");
-                        match output {
-                            Ok(TaskOutput::Compiled(outcome)) => outcome
-                                .map(|outcome| BuiltinOutcome::Compiled(Box::new(outcome)))
-                                .map_err(|e| EngineError::compile(&req.label, e)),
-                            Ok(TaskOutput::Point(_)) => {
-                                unreachable!("compile jobs produce compile outputs")
-                            }
-                            Ok(TaskOutput::Cancelled) => Err(EngineError::cancelled(&req.label)),
-                            Err(message) => Err(EngineError::panic(&req.label, message)),
-                        }
-                    }
-                    BuiltinJob::Sweep(req) => {
-                        let mut points: Vec<ExperimentPoint> = Vec::with_capacity(outputs.len());
-                        for (_, output) in outputs {
-                            match output {
-                                Ok(TaskOutput::Point(point)) => points
-                                    .push(point.map_err(|e| EngineError::compile(&req.label, e))?),
-                                Ok(TaskOutput::Compiled(_)) => {
-                                    unreachable!("sweep jobs produce point outputs")
-                                }
-                                Ok(TaskOutput::Cancelled) => {
-                                    return Err(EngineError::cancelled(&req.label))
-                                }
-                                Err(message) => {
-                                    return Err(EngineError::panic(&req.label, message))
-                                }
-                            }
-                        }
-                        Ok(BuiltinOutcome::Swept(SweepResult {
-                            label: req.strategy.label(),
-                            points,
-                        }))
-                    }
-                }
-            })
-            .collect()
-    }
-}
-
-/// One point-level unit of work.
-struct Task {
-    job: usize,
-    slot: usize,
-    kind: TaskKind,
-}
-
-enum TaskKind {
-    Compile {
-        request: CompileRequest,
-        graph: Arc<HttGraph>,
-    },
-    SweepPoint {
-        graph: Arc<HttGraph>,
-        config: SweepConfig,
-        epsilon: f64,
-        seed: u64,
-        /// `exp(iHt)`, shared by every point of the sweep.
-        reference: Arc<ReferenceCell>,
-    },
-}
-
-enum TaskOutput {
-    Compiled(Result<CompileOutcome, marqsim_core::CompileError>),
-    Point(Result<ExperimentPoint, marqsim_core::CompileError>),
-    /// The job was cancelled before this task started.
-    Cancelled,
-}
-
-impl Task {
-    fn run(self, cancel: &CancelToken) -> TaskOutput {
-        if cancel.is_cancelled() {
-            return TaskOutput::Cancelled;
-        }
-        match self.kind {
-            TaskKind::Compile { request, graph } => {
-                let outcome = Compiler::new(request.config.clone())
-                    .compile_with_htt(&graph)
-                    .map(|result| {
-                        let fidelity = request.evaluate_fidelity.then(|| {
-                            evaluate_fidelity(
-                                &result.hamiltonian,
-                                request.config.time,
-                                &result.sequence,
-                            )
-                        });
-                        CompileOutcome {
-                            label: request.label,
-                            result,
-                            fidelity,
-                        }
-                    });
-                TaskOutput::Compiled(outcome)
-            }
-            TaskKind::SweepPoint {
-                graph,
-                config,
-                epsilon,
-                seed,
-                reference,
-            } => TaskOutput::Point(compile_point(&graph, &config, epsilon, seed, &reference)),
-        }
     }
 }

@@ -26,8 +26,9 @@ pub enum EngineError {
         message: String,
     },
     /// The engine configuration is invalid — e.g. `MARQSIM_THREADS=0`, a
-    /// non-numeric `MARQSIM_CACHE_CAP`, or an unrecognized `MARQSIM_CACHE`
-    /// value. Raised before any job runs, so no job label applies.
+    /// non-numeric `MARQSIM_CACHE_CAP`, or an unrecognized
+    /// `MARQSIM_FLOW_SOLVER` backend. Raised before any job runs, so no job
+    /// label applies.
     InvalidConfig {
         /// Human-readable description naming the offending setting and
         /// value.

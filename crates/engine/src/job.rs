@@ -8,8 +8,9 @@
 //! thread. This module provides that layer:
 //!
 //! * [`JobId`] — a monotonically increasing per-engine job identifier.
-//! * [`CancelToken`] — the cooperative cancellation flag a
-//!   [`WorkloadCtx`](crate::WorkloadCtx) exposes to running workloads.
+//! * [`CancelToken`] — the cooperative cancellation flag a running
+//!   workload observes through
+//!   [`WorkloadCtx::ensure_active`](crate::WorkloadCtx::ensure_active).
 //! * [`JobControl`] — a cheaply cloneable view of a running job: id, label,
 //!   cancellation, progress snapshot, finished flag. This is what a job
 //!   registry stores.

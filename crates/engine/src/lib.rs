@@ -22,7 +22,7 @@
 //! * **The open job API** (`workload`) — the [`Workload`] trait: anything
 //!   with a label, a unit count, and a `run` body is submittable. A running
 //!   workload is handed a [`WorkloadCtx`] (shared cache, pool fan-out,
-//!   cancellation token, throttled progress sink); submission is
+//!   cancellation checkpoint, throttled progress sink); submission is
 //!   parameterized by a typed [`SubmitOptions`] builder (priority,
 //!   admission bound, progress cadence). Built-ins: [`CompileWorkload`],
 //!   [`SweepWorkload`], [`PerturbAverageWorkload`] (parallel `P_rp`
@@ -35,15 +35,13 @@
 //!   outcome collection. This is the layer the `marqsim-serve` TCP
 //!   front-end multiplexes client connections onto.
 //!
-//! The closed `EngineJob` / `CompileBatch` enum API that predated the
-//! `Workload` trait was deprecated for one release and has been removed;
-//! `docs/engine.md` in the repository root keeps the migration guide.
-//!
 //! # Job model
 //!
-//! Built-in compile/sweep workloads run on a two-phase batch machine: the
-//! engine first resolves one HTT graph per job (through the cache, builds
-//! running concurrently on the pool), then expands every job into
+//! Every run goes through [`Workload::run`] with a [`WorkloadCtx`]. The
+//! built-in compile and sweep workloads hand the context a *batch* of one
+//! job kind — compiles or sweeps, never mixed — which runs in two phases:
+//! the engine first resolves one HTT graph per job (through the cache,
+//! builds running concurrently on the pool), then expands every job into
 //! *point-level tasks* — one task per compile request, one per
 //! `(ε, repetition)` sweep point — on a single work queue. Tasks from
 //! different jobs interleave, so many small sweeps load-balance exactly as
@@ -65,19 +63,19 @@
 //! Consequently `Engine::run_sweep` with any thread count (including via
 //! the `MARQSIM_THREADS` override) returns byte-identical `SweepResult`
 //! data to `marqsim_core::experiment::run_sweep`, and neither caching nor
-//! scheduling priority can change results — only latency.
+//! scheduling priority can change results — only latency. (Every engine
+//! caches: a lookup confirms full Hamiltonian equality, so a cached graph
+//! is the graph a fresh build would produce.)
 //!
 //! # Environment
 //!
-//! [`Engine::from_env`] reads five variables; unset or empty means "use
+//! [`Engine::from_env`] reads four variables; unset or empty means "use
 //! the default", and any unparsable value is a hard
 //! [`EngineError::InvalidConfig`] naming the offending setting — never a
 //! silent fallback.
 //!
 //! * `MARQSIM_THREADS=N` — worker count (positive integer); unset means
 //!   all available cores.
-//! * `MARQSIM_CACHE=on|off` (also `1/0`, `true/false`, `yes/no`) —
-//!   enable/disable transition-matrix caching.
 //! * `MARQSIM_CACHE_CAP=N` — LRU entry cap per cache shard
 //!   (`0` = unbounded; default [`cache::DEFAULT_CACHE_CAP`]).
 //! * `MARQSIM_CACHE_DIR=PATH` — persist solved `P_gc` matrices under
@@ -226,7 +224,7 @@ mod tests {
     }
 
     #[test]
-    fn benchmark_suite_workload_matches_run_sweeps_and_shares_pgc() {
+    fn benchmark_suite_workload_matches_single_sweeps_and_shares_pgc() {
         let sweep_config = SweepConfig {
             time: 0.5,
             epsilons: vec![0.1],
@@ -240,12 +238,10 @@ mod tests {
             TransitionStrategy::marqsim_gc_rp(),
         ];
         let reference = Engine::new(EngineConfig::default().with_threads(3));
-        let expected = reference.run_sweeps(
-            strategies
-                .iter()
-                .map(|s| SweepRequest::new(s.label(), ham(), s.clone(), sweep_config.clone()))
-                .collect(),
-        );
+        let expected: Vec<_> = strategies
+            .iter()
+            .map(|s| reference.run_sweep(&ham(), s, &sweep_config))
+            .collect();
 
         let engine = Engine::new(EngineConfig::default().with_threads(3));
         let suite = BenchmarkSuiteWorkload::new("suite").grid(
@@ -292,55 +288,27 @@ mod tests {
             base_seed: 2,
             evaluate_fidelity: false,
         };
-        let mut requests: Vec<SweepRequest> = (0..4)
-            .map(|i| {
-                SweepRequest::new(
-                    format!("dup/{i}"),
-                    ham(),
-                    TransitionStrategy::marqsim_gc(),
-                    config.clone(),
-                )
-            })
-            .collect();
-        requests.push(SweepRequest::new(
+        let mut suite = BenchmarkSuiteWorkload::new("dup");
+        for i in 0..4 {
+            suite = suite.case(
+                format!("dup/{i}"),
+                ham(),
+                TransitionStrategy::marqsim_gc(),
+                config.clone(),
+            );
+        }
+        suite = suite.case(
             "dup/gc-rp",
             ham(),
             TransitionStrategy::marqsim_gc_rp(),
             config,
-        ));
-        let outcomes = engine.run_sweeps(requests);
-        assert!(outcomes.iter().all(|o| o.is_ok()));
+        );
+        assert!(engine.run_workload(&suite).is_ok());
         let stats = engine.cache().stats();
         assert_eq!(stats.misses, 2, "one build per distinct key");
         assert_eq!(stats.graphs, 2);
         assert_eq!(stats.components, 1);
         assert_eq!(stats.component_hits, 1, "GC-RP reused GC's P_gc");
-    }
-
-    #[test]
-    fn progress_reports_reach_the_total() {
-        let completions = Arc::new(AtomicUsize::new(0));
-        let last_total = Arc::new(AtomicUsize::new(0));
-        let (c, t) = (Arc::clone(&completions), Arc::clone(&last_total));
-        let engine = Engine::new(EngineConfig::default().with_threads(2)).with_progress(
-            move |progress: Progress| {
-                c.fetch_add(1, Ordering::Relaxed);
-                t.store(progress.total, Ordering::Relaxed);
-                assert!(progress.completed <= progress.total);
-            },
-        );
-        let config = SweepConfig {
-            time: 0.5,
-            epsilons: vec![0.1, 0.05],
-            repeats: 3,
-            base_seed: 1,
-            evaluate_fidelity: false,
-        };
-        engine
-            .run_sweep(&ham(), &TransitionStrategy::QDrift, &config)
-            .unwrap();
-        assert_eq!(completions.load(Ordering::Relaxed), 6);
-        assert_eq!(last_total.load(Ordering::Relaxed), 6);
     }
 
     #[test]
@@ -362,20 +330,6 @@ mod tests {
         let err = outcomes[1].as_ref().unwrap_err();
         assert_eq!(err.label(), "jobs/bad-epsilon");
         assert!(err.to_string().contains("precision"));
-    }
-
-    #[test]
-    fn cache_disabled_engine_still_produces_identical_sweeps() {
-        let config = SweepConfig::quick(0.5);
-        let strategy = TransitionStrategy::marqsim_gc();
-        let serial = run_sweep(&ham(), &strategy, &config).unwrap();
-        let engine = Engine::new(EngineConfig::default().with_threads(4).with_cache(false));
-        assert!(!engine.cache_enabled());
-        let parallel = engine.run_sweep(&ham(), &strategy, &config).unwrap();
-        for (p, s) in parallel.points.iter().zip(&serial.points) {
-            assert_eq!(p.stats, s.stats);
-        }
-        assert_eq!(engine.cache().stats().misses, 0, "cache bypassed");
     }
 
     #[test]
@@ -409,12 +363,10 @@ mod tests {
         // `EngineConfig::from_values`, the pure core of `from_env`.
         let config = EngineConfig::default();
         assert_eq!(config.threads, 0, "0 means auto");
-        assert!(config.cache_enabled);
         assert_eq!(config.with_threads(3).threads, 3);
 
-        let parsed = EngineConfig::from_values(Some("6"), None, None, None, None).unwrap();
+        let parsed = EngineConfig::from_values(Some("6"), None, None, None).unwrap();
         assert_eq!(parsed.threads, 6);
-        assert!(parsed.cache_enabled);
     }
 
     #[test]
@@ -422,7 +374,7 @@ mod tests {
         // MARQSIM_THREADS=0 and garbage used to silently fall back to
         // "auto"; both must now produce a clear InvalidConfig.
         for bad in ["0", "garbage", "-2", "1.5"] {
-            let err = EngineConfig::from_values(Some(bad), None, None, None, None).unwrap_err();
+            let err = EngineConfig::from_values(Some(bad), None, None, None).unwrap_err();
             assert!(
                 matches!(err, EngineError::InvalidConfig { .. }),
                 "MARQSIM_THREADS={bad}"
@@ -433,32 +385,14 @@ mod tests {
 
     #[test]
     fn invalid_cache_switches_and_caps_are_hard_errors() {
-        let err = EngineConfig::from_values(None, Some("maybe"), None, None, None).unwrap_err();
-        assert!(err.to_string().contains("MARQSIM_CACHE"));
-        let err = EngineConfig::from_values(None, None, Some("lots"), None, None).unwrap_err();
+        let err = EngineConfig::from_values(None, Some("lots"), None, None).unwrap_err();
         assert!(err.to_string().contains("MARQSIM_CACHE_CAP"));
-
-        // Every documented spelling of the switch parses.
-        for (value, enabled) in [
-            ("1", true),
-            ("on", true),
-            ("TRUE", true),
-            ("yes", true),
-            ("0", false),
-            ("Off", false),
-            ("false", false),
-            ("no", false),
-        ] {
-            let config = EngineConfig::from_values(None, Some(value), None, None, None).unwrap();
-            assert_eq!(config.cache_enabled, enabled, "MARQSIM_CACHE={value}");
-        }
     }
 
     #[test]
     fn cache_cap_and_dir_reach_the_cache_config() {
         let config =
-            EngineConfig::from_values(None, None, Some("17"), Some("/tmp/marqsim-cc"), None)
-                .unwrap();
+            EngineConfig::from_values(None, Some("17"), Some("/tmp/marqsim-cc"), None).unwrap();
         assert_eq!(config.cache.cap_per_shard, 17);
         assert_eq!(
             config.cache.persist_dir.as_deref(),
@@ -601,12 +535,13 @@ mod tests {
         let engine = Arc::new(Engine::new(EngineConfig::default().with_threads(2)));
         let calls = Arc::new(AtomicUsize::new(0));
         let seen = Arc::clone(&calls);
-        let handle = engine.submit_with_progress(
+        let handle = engine.submit_with_options(
             sweep_workload(
                 "async/progress",
                 TransitionStrategy::QDrift,
                 SweepConfig::quick(0.5),
             ),
+            SubmitOptions::default(),
             move |progress| {
                 seen.fetch_add(1, Ordering::Relaxed);
                 assert!(progress.completed <= progress.total);
@@ -792,12 +727,11 @@ mod tests {
 
     #[test]
     fn flow_solver_env_values_parse_strictly() {
-        let parsed =
-            EngineConfig::from_values(None, None, None, None, Some("network_simplex")).unwrap();
+        let parsed = EngineConfig::from_values(None, None, None, Some("network_simplex")).unwrap();
         assert_eq!(parsed.cache.flow_solver, SolverKind::NetworkSimplex);
-        let parsed = EngineConfig::from_values(None, None, None, None, Some("ssp")).unwrap();
+        let parsed = EngineConfig::from_values(None, None, None, Some("ssp")).unwrap();
         assert_eq!(parsed.cache.flow_solver, SolverKind::SuccessiveShortestPath);
-        let err = EngineConfig::from_values(None, None, None, None, Some("dijkstra")).unwrap_err();
+        let err = EngineConfig::from_values(None, None, None, Some("dijkstra")).unwrap_err();
         assert!(matches!(err, EngineError::InvalidConfig { .. }));
         assert!(err.to_string().contains("MARQSIM_FLOW_SOLVER"), "{err}");
         assert!(err.to_string().contains("network_simplex"), "{err}");

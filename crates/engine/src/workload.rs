@@ -1,19 +1,16 @@
 //! The open job API: the [`Workload`] trait and its execution context.
 //!
-//! Earlier revisions of the engine exposed a *closed* job enum
-//! (`EngineJob::{Compile, Sweep}`): every new kind of work meant enum
-//! surgery in the engine, the serve protocol, and every binary that
-//! submitted jobs. This module inverts that relationship — in the spirit of
-//! typed message-passing protocols, where the protocol rather than the
-//! implementation defines what can flow between concurrent parties — by
-//! making the *job surface* a trait:
+//! The job surface is a trait, so a new kind of work needs no change to
+//! the engine, the serve protocol, or the binaries that submit jobs:
 //!
 //! * [`Workload`] — anything with a label, a unit count, and a `run` body.
 //!   Implementations live anywhere (other crates, test files, downstream
 //!   services); the engine schedules them without knowing their shape.
 //! * [`WorkloadCtx`] — what a running workload is handed: the shared
 //!   [`TransitionCache`], the pool's [`map`](WorkloadCtx::map)-style
-//!   fan-out, a cooperative [`CancelToken`], and a throttled progress sink.
+//!   fan-out, a cooperative cancellation checkpoint
+//!   ([`ensure_active`](WorkloadCtx::ensure_active)), and a throttled
+//!   progress sink.
 //! * [`WorkloadOutput`] — a type-erased result. In-process callers
 //!   [`downcast`](WorkloadOutput::downcast) it back; the serve layer
 //!   encodes it through its workload registry.
@@ -23,7 +20,7 @@
 //!   progress events.
 //!
 //! Four workloads ship built in: [`CompileWorkload`] and [`SweepWorkload`]
-//! (the old enum variants), [`PerturbAverageWorkload`] (the `P_rp`
+//! (one compile or sweep), [`PerturbAverageWorkload`] (the `P_rp`
 //! perturbation average with its sample solves fanned out over the pool),
 //! and [`BenchmarkSuiteWorkload`] (a multi-Hamiltonian × multi-strategy
 //! sweep grid — the shape every `fig*`/`table*` binary used to hand-roll).
@@ -51,7 +48,7 @@ use std::time::{Duration, Instant};
 
 use marqsim_core::experiment::{SweepConfig, SweepResult};
 use marqsim_core::perturb::{perturbed_matrix_sample, PerturbationConfig};
-use marqsim_core::{HttGraph, SolverKind, TransitionStrategy};
+use marqsim_core::{SolverKind, TransitionStrategy};
 use marqsim_markov::combine::combine;
 use marqsim_markov::TransitionMatrix;
 use marqsim_obs::{lockcheck, trace};
@@ -59,8 +56,7 @@ use marqsim_pauli::Hamiltonian;
 
 use crate::cache::TransitionCache;
 use crate::engine::{
-    BuiltinJob, BuiltinOutcome, CompileOutcome, CompileRequest, Engine, Progress, ProgressFn,
-    SweepRequest,
+    BatchJob, CompileOutcome, CompileRequest, Engine, Progress, ProgressFn, SweepRequest,
 };
 use crate::error::EngineError;
 use crate::job::{CancelToken, JobState};
@@ -387,11 +383,8 @@ pub struct WorkloadCtx<'a> {
     /// The workload's own unit count, the denominator of cumulative
     /// progress.
     total_units: usize,
-    /// Units completed by earlier `map` / `run_builtin` phases.
+    /// Units completed by earlier `map` / batch phases.
     units_done: AtomicUsize,
-    /// The innermost span open when this context was created — the job
-    /// span for submitted jobs (see [`WorkloadCtx::job_span`]).
-    job_span: Option<trace::SpanId>,
 }
 
 impl<'a> WorkloadCtx<'a> {
@@ -413,61 +406,18 @@ impl<'a> WorkloadCtx<'a> {
             flow_solver,
             total_units,
             units_done: AtomicUsize::new(0),
-            job_span: trace::current_span(),
         }
     }
 
-    /// The job's trace span, when tracing is enabled — the parent to hand
-    /// to [`trace::Span::child_of`] or [`trace::emit_interval`] from helper
-    /// threads a workload spawns itself (the pool's own tasks re-parent
-    /// automatically). `None` when tracing is off or the context was built
-    /// outside any span.
-    pub fn job_span(&self) -> Option<trace::SpanId> {
-        self.job_span
-    }
-
-    /// The running job's label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The engine's shared transition cache. Note
-    /// [`cache_enabled`](Self::cache_enabled): with caching off, built-in
-    /// workloads bypass this entirely, and custom workloads should too.
+    /// The engine's shared transition cache.
     pub fn cache(&self) -> &TransitionCache {
         self.engine.cache()
-    }
-
-    /// Whether transition-matrix caching is enabled on this engine.
-    pub fn cache_enabled(&self) -> bool {
-        self.engine.cache_enabled()
-    }
-
-    /// Worker-thread count of the engine's pool.
-    pub fn threads(&self) -> usize {
-        self.engine.threads()
-    }
-
-    /// The scheduling priority this job was submitted at.
-    pub fn priority(&self) -> Priority {
-        self.priority
     }
 
     /// The min-cost-flow backend this job's flow solves use
     /// ([`SubmitOptions::flow_solver`] override, or the engine default).
     pub fn flow_solver(&self) -> SolverKind {
         self.flow_solver
-    }
-
-    /// A clone of the job's cancellation token (for handing to helper
-    /// threads a workload spawns itself).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel.is_cancelled()
     }
 
     /// Checkpoint: returns [`EngineError::Cancelled`] (carrying the job
@@ -511,9 +461,28 @@ impl<'a> WorkloadCtx<'a> {
         O: Send + 'static,
         F: Fn(usize, I) -> Result<O, EngineError> + Send + Sync + 'static,
     {
+        self.fan_out(items, f)
+            .into_iter()
+            .map(|result| match result {
+                Ok(Some(output)) => output,
+                Ok(None) => Err(EngineError::cancelled(&self.label)),
+                Err(message) => Err(EngineError::panic(&self.label, message)),
+            })
+            .collect()
+    }
+
+    /// The one pool fan-out under [`map`](Self::map) and the batch step:
+    /// `Ok(None)` for an item skipped after cancellation, `Err` with the
+    /// panic message for an item whose task panicked.
+    fn fan_out<I, O, F>(&self, items: Vec<I>, f: F) -> Vec<Result<Option<O>, String>>
+    where
+        I: Send + 'static,
+        O: Send + 'static,
+        F: Fn(usize, I) -> O + Send + Sync + 'static,
+    {
         let base = self.units_done.load(Ordering::Relaxed);
-        let total = self.total_units.max(base + items.len());
         let items_len = items.len();
+        let total = self.total_units.max(base + items_len);
         let cancel = self.cancel.clone();
         let task = Arc::new(move |index: usize, item: I| {
             if cancel.is_cancelled() {
@@ -530,72 +499,73 @@ impl<'a> WorkloadCtx<'a> {
                     completed: base + done,
                     total,
                 })
-            })
-            .into_iter()
-            .map(|result| match result {
-                Ok(Some(output)) => output,
-                Ok(None) => Err(EngineError::cancelled(&self.label)),
-                Err(message) => Err(EngineError::panic(&self.label, message)),
-            })
-            .collect();
+            });
         self.units_done
             .fetch_max(base + items_len, Ordering::Relaxed);
         outputs
     }
 
-    /// Resolves the HTT graph for `(ham, strategy)` — through the shared
-    /// cache when caching is enabled, with a direct build otherwise.
+    /// Runs a batch of one job kind: one HTT graph per job (deduplicated,
+    /// built on the pool), then every job's point tasks on one work queue,
+    /// reassembled per job. Errors carry the failing job's label.
     ///
-    /// # Errors
-    ///
-    /// Propagates the build failure, attributed to the job label.
-    pub fn resolve_graph(
+    /// Determinism: each task's output is a pure function of its job (sweep
+    /// points use `experiment::point_seed`, the serial seed stream), and
+    /// outputs are reassembled by index, so outcomes are bit-identical for
+    /// any thread count or priority.
+    pub(crate) fn run_batch<J: BatchJob>(
         &self,
-        ham: &Hamiltonian,
-        strategy: &TransitionStrategy,
-    ) -> Result<Arc<HttGraph>, EngineError> {
-        let _span = trace::Span::enter("resolve_graph")
-            .field("label", self.label.as_str())
-            .field("backend", self.flow_solver.as_str());
-        let built = if self.cache_enabled() {
-            self.cache()
-                .get_or_build_with(ham, strategy, self.flow_solver)
-        } else {
-            HttGraph::build_with_solver(ham, strategy, self.flow_solver).map(Arc::new)
+        jobs: Vec<J>,
+    ) -> Vec<Result<J::Outcome, EngineError>> {
+        // A job cancelled before graph resolution never touches the pool.
+        if self.cancel.is_cancelled() {
+            return jobs
+                .iter()
+                .map(|job| Err(EngineError::cancelled(job.label())))
+                .collect();
+        }
+        let graphs = {
+            let _span = trace::Span::enter("resolve_graph")
+                .field("jobs", jobs.len())
+                .field("backend", self.flow_solver.as_str());
+            self.engine
+                .resolve_graphs(&jobs, self.priority, self.flow_solver)
         };
-        built.map_err(|e| EngineError::compile(&self.label, e))
-    }
 
-    /// Runs a list of built-in jobs through the engine's batched machinery
-    /// (deduplicated graph resolution, one flattened point-task queue) with
-    /// this context's cancellation, cumulative progress, and priority.
-    pub(crate) fn run_builtin(
-        &self,
-        jobs: Vec<BuiltinJob>,
-    ) -> Vec<Result<BuiltinOutcome, EngineError>> {
-        let planned: usize = jobs
-            .iter()
-            .map(|job| match job {
-                BuiltinJob::Compile(_) => 1,
-                BuiltinJob::Sweep(req) => req.config.epsilons.len() * req.config.repeats,
+        let mut owners = Vec::new();
+        let mut tasks = Vec::new();
+        for (index, (job, graph)) in jobs.iter().zip(&graphs).enumerate() {
+            if let Ok(graph) = graph {
+                for task in job.tasks(graph) {
+                    owners.push(index);
+                    tasks.push(task);
+                }
+            }
+        }
+        let mut per_job: Vec<Vec<_>> = jobs.iter().map(|_| Vec::new()).collect();
+        for (owner, output) in owners
+            .into_iter()
+            .zip(self.fan_out(tasks, |_, task| J::run(task)))
+        {
+            per_job[owner].push(output);
+        }
+
+        jobs.into_iter()
+            .zip(graphs)
+            .zip(per_job)
+            .map(|((job, graph), outputs)| {
+                graph?;
+                let points = outputs
+                    .into_iter()
+                    .map(|output| match output {
+                        Ok(Some(point)) => point.map_err(|e| EngineError::compile(job.label(), e)),
+                        Ok(None) => Err(EngineError::cancelled(job.label())),
+                        Err(message) => Err(EngineError::panic(job.label(), message)),
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                Ok(job.finish(points))
             })
-            .sum();
-        let base = self.units_done.load(Ordering::Relaxed);
-        let total = self.total_units.max(base + planned);
-        let outcomes = self.engine.run_builtin(
-            jobs,
-            &self.cancel,
-            &|done, _tasks| {
-                self.sink.emit(Progress {
-                    completed: base + done,
-                    total,
-                })
-            },
-            self.priority,
-            self.flow_solver,
-        );
-        self.units_done.fetch_max(base + planned, Ordering::Relaxed);
-        outcomes
+            .collect()
     }
 }
 
@@ -628,13 +598,10 @@ impl Workload for CompileWorkload {
     }
 
     fn run(&self, ctx: &WorkloadCtx<'_>) -> Result<WorkloadOutput, EngineError> {
-        ctx.run_builtin(vec![BuiltinJob::Compile(self.request.clone())])
+        ctx.run_batch(vec![self.request.clone()])
             .pop()
             .expect("one outcome per job")
-            .map(|outcome| match outcome {
-                BuiltinOutcome::Compiled(compiled) => WorkloadOutput::new(*compiled),
-                BuiltinOutcome::Swept(_) => unreachable!("compile jobs produce compile outcomes"),
-            })
+            .map(WorkloadOutput::new)
     }
 }
 
@@ -664,13 +631,10 @@ impl Workload for SweepWorkload {
     }
 
     fn run(&self, ctx: &WorkloadCtx<'_>) -> Result<WorkloadOutput, EngineError> {
-        ctx.run_builtin(vec![BuiltinJob::Sweep(self.request.clone())])
+        ctx.run_batch(vec![self.request.clone()])
             .pop()
             .expect("one outcome per job")
-            .map(|outcome| match outcome {
-                BuiltinOutcome::Swept(sweep) => WorkloadOutput::new(sweep),
-                BuiltinOutcome::Compiled(_) => unreachable!("sweep jobs produce sweep outcomes"),
-            })
+            .map(WorkloadOutput::new)
     }
 }
 
@@ -691,8 +655,8 @@ impl Workload for SweepWorkload {
 /// Under a basis-exporting backend the workload solves sample `0` cold,
 /// exports its spanning basis, and warm-starts samples `1..` from it in
 /// parallel — the perturbation only changes costs, never the topology, so
-/// one basis serves every sample. On a cache-enabled engine the solves
-/// are attributed to the cache stats as `flow_solves` (cold) and
+/// one basis serves every sample. The solves are attributed to the
+/// engine's cache stats as `flow_solves` (cold) and
 /// `warm_starts` (re-pivots): an `N`-sample job under the simplex backend
 /// reports `flow_solves = 1, warm_starts = N - 1`.
 #[derive(Debug, Clone)]
@@ -773,14 +737,12 @@ impl Workload for PerturbAverageWorkload {
             })
             .into_iter()
             .collect::<Result<Vec<(TransitionMatrix, bool)>, EngineError>>()?;
-        if ctx.cache_enabled() {
-            let warm_starts = rest.iter().filter(|(_, warm)| *warm).count() as u64;
-            let cold_solves = 1 + rest.len() - warm_starts as usize;
-            for _ in 0..cold_solves {
-                ctx.cache().record_flow_solve(solver);
-            }
-            ctx.cache().record_warm_starts(warm_starts);
+        let warm_starts = rest.iter().filter(|(_, warm)| *warm).count() as u64;
+        let cold_solves = 1 + rest.len() - warm_starts as usize;
+        for _ in 0..cold_solves {
+            ctx.cache().record_flow_solve(solver);
         }
+        ctx.cache().record_warm_starts(warm_starts);
         let matrices: Vec<TransitionMatrix> = std::iter::once(first)
             .chain(rest.into_iter().map(|(matrix, _)| matrix))
             .collect();
@@ -938,7 +900,7 @@ impl Workload for BenchmarkSuiteWorkload {
             .cases
             .iter()
             .map(|case| {
-                BuiltinJob::Sweep(SweepRequest::new(
+                SweepRequest::new(
                     format!(
                         "{}/{}/{}",
                         self.label,
@@ -948,23 +910,21 @@ impl Workload for BenchmarkSuiteWorkload {
                     case.hamiltonian.clone(),
                     case.strategy.clone(),
                     case.config.clone(),
-                ))
+                )
             })
             .collect();
-        let outcomes = ctx.run_builtin(jobs);
-        let mut cases = Vec::with_capacity(self.cases.len());
-        for (case, outcome) in self.cases.iter().zip(outcomes) {
-            match outcome? {
-                BuiltinOutcome::Swept(sweep) => cases.push(SuiteCaseResult {
+        let cases = self
+            .cases
+            .iter()
+            .zip(ctx.run_batch(jobs))
+            .map(|(case, outcome)| {
+                Ok(SuiteCaseResult {
                     benchmark: case.benchmark.clone(),
                     strategy: case.strategy.label(),
-                    sweep,
-                }),
-                BuiltinOutcome::Compiled(_) => {
-                    unreachable!("suite cases are sweeps")
-                }
-            }
-        }
+                    sweep: outcome?,
+                })
+            })
+            .collect::<Result<Vec<_>, EngineError>>()?;
         Ok(WorkloadOutput::new(BenchmarkSuiteResult { cases }))
     }
 }

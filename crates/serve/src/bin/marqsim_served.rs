@@ -5,8 +5,8 @@
 //!
 //! * **node** (the default): builds one shared engine (worker count from
 //!   `MARQSIM_SERVE_THREADS`, falling back to `MARQSIM_THREADS`, then all
-//!   cores; cache/solver settings from the usual `MARQSIM_CACHE*` /
-//!   `MARQSIM_FLOW_SOLVER` variables) and runs jobs itself. Admission
+//!   cores; cache/solver settings from the usual `MARQSIM_CACHE_CAP` /
+//!   `MARQSIM_CACHE_DIR` / `MARQSIM_FLOW_SOLVER` variables) and runs jobs itself. Admission
 //!   bounds: `MARQSIM_SERVE_MAX_IN_FLIGHT` per connection,
 //!   `MARQSIM_MAX_ACTIVE_JOBS` engine-wide across all connections.
 //! * **router**: `--route node1:port,node2:port,...` (or `MARQSIM_ROUTE`)

@@ -70,8 +70,8 @@
 //!   jobs are cancelled and a structured `error` event precedes the close
 //!   (unset = never reap; in-process: [`Server::with_idle_timeout`],
 //!   [`Router::with_idle_timeout`]).
-//! * The engine cache/solver variables (`MARQSIM_CACHE`,
-//!   `MARQSIM_CACHE_CAP`, `MARQSIM_CACHE_DIR`, `MARQSIM_FLOW_SOLVER`)
+//! * The engine cache/solver variables (`MARQSIM_CACHE_CAP`,
+//!   `MARQSIM_CACHE_DIR`, `MARQSIM_FLOW_SOLVER`)
 //!   apply unchanged; a submit's `options.flow_solver` selects the
 //!   min-cost-flow backend per job.
 //!

@@ -294,7 +294,10 @@ pub enum Event {
         job: u64,
         /// `"compile"`, `"panic"`, `"cancelled"`, `"workload"`,
         /// `"invalid-config"`, `"encode"` (registry encoder rejected the
-        /// output), or `"node_lost"` (the fleet node running the job died).
+        /// output), or — from a router only — `"node_lost"` (the fleet node
+        /// running the job died), `"busy"` (the node's admission control
+        /// rejected an already-acked submit) or `"rejected"` (the node
+        /// refused the submit with an `error` event).
         kind: String,
         /// Human-readable description.
         message: String,

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use marqsim::core::experiment::{run_sweep, SweepConfig};
 use marqsim::core::TransitionStrategy;
-use marqsim::engine::{Engine, EngineConfig, SweepRequest};
+use marqsim::engine::{BenchmarkSuiteResult, BenchmarkSuiteWorkload, Engine, EngineConfig};
 use marqsim::hamlib::suite::{table1_names, table1_suite, SuiteScale};
 use marqsim::pauli::Hamiltonian;
 
@@ -69,14 +69,17 @@ fn fidelity_sweeps_match_the_serial_driver_bit_for_bit_at_any_thread_count() {
         .collect();
     for threads in [1, 3] {
         let engine = Engine::new(EngineConfig::default().with_threads(threads));
-        let requests = configs
+        let suite = configs
             .iter()
-            .map(|config| {
-                SweepRequest::new("fidelity", ham.clone(), strategy.clone(), config.clone())
-            })
-            .collect();
-        for (parallel, serial) in engine.run_sweeps(requests).into_iter().zip(&serial) {
-            let parallel = parallel.unwrap();
+            .fold(BenchmarkSuiteWorkload::new("fidelity"), |suite, config| {
+                suite.case("fidelity", ham.clone(), strategy.clone(), config.clone())
+            });
+        let result: BenchmarkSuiteResult = engine
+            .run_workload(&suite)
+            .unwrap()
+            .downcast()
+            .expect("suite output");
+        for (parallel, serial) in result.sweeps().zip(&serial) {
             assert_eq!(parallel.points.len(), serial.points.len());
             for (p, s) in parallel.points.iter().zip(&serial.points) {
                 assert_eq!(p.stats, s.stats, "{threads} threads");
@@ -138,21 +141,20 @@ fn multi_benchmark_batch_across_all_three_strategies() {
         base_seed: 5,
         evaluate_fidelity: false,
     };
-    let mut requests = Vec::new();
-    for bench in &suite {
-        for strategy in &strategies {
-            requests.push(SweepRequest::new(
-                format!("{}/{}", bench.name, strategy.label()),
-                bench.hamiltonian.clone(),
-                strategy.clone(),
-                config.clone(),
-            ));
-        }
-    }
-    let outcomes = engine.run_sweeps(requests);
-    assert_eq!(outcomes.len(), suite.len() * strategies.len());
-    for outcome in &outcomes {
-        let sweep = outcome.as_ref().expect("sweep succeeds");
+    let workload = BenchmarkSuiteWorkload::new("batch").grid(
+        suite
+            .iter()
+            .map(|bench| (bench.name.to_string(), bench.hamiltonian.clone())),
+        &strategies,
+        |_| config.clone(),
+    );
+    let outcomes: BenchmarkSuiteResult = engine
+        .run_workload(&workload)
+        .expect("sweep succeeds")
+        .downcast()
+        .expect("suite output");
+    assert_eq!(outcomes.cases.len(), suite.len() * strategies.len());
+    for sweep in outcomes.sweeps() {
         assert_eq!(sweep.points.len(), 2);
         for point in &sweep.points {
             assert!(point.num_samples > 0);
@@ -220,4 +222,93 @@ fn bounded_persistent_engine_matches_serial_and_skips_resolves_on_reload() {
     assert_eq!(stats.flow_solves, 0, "P_gc served from MARQSIM_CACHE_DIR");
     assert_eq!(stats.disk_hits, 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn compile_batches_match_the_serial_compiler_bit_for_bit_at_any_thread_count() {
+    use marqsim::core::metrics::evaluate_fidelity;
+    use marqsim::core::{Compiler, CompilerConfig, HttGraph};
+    use marqsim::engine::CompileRequest;
+
+    // Two Hamiltonians × {GC, GC-RP}, one duplicated request and one
+    // fidelity request in a single batch.
+    let hamiltonians = [
+        benchmark_hamiltonian(),
+        Hamiltonian::parse("0.8 XXZI + 0.6 ZIZI + 0.5 IYYX + 0.4 ZZII + 0.3 IXIX + 0.2 YIYI")
+            .unwrap(),
+    ];
+    let strategies = [
+        TransitionStrategy::marqsim_gc(),
+        TransitionStrategy::marqsim_gc_rp(),
+    ];
+    let mut requests = Vec::new();
+    for (h, ham) in hamiltonians.iter().enumerate() {
+        for (s, strategy) in strategies.iter().enumerate() {
+            let config = CompilerConfig::new(0.5, 0.1)
+                .with_strategy(strategy.clone())
+                .with_seed(7 + (2 * h + s) as u64);
+            requests.push(CompileRequest::new(
+                format!("batch/{h}/{s}"),
+                ham.clone(),
+                config,
+            ));
+        }
+    }
+    requests.push(requests[1].clone());
+    requests.push(
+        CompileRequest::new(
+            "batch/fidelity",
+            hamiltonians[1].clone(),
+            CompilerConfig::new(0.5, 0.1)
+                .with_strategy(TransitionStrategy::marqsim_gc())
+                .with_seed(3),
+        )
+        .with_fidelity(),
+    );
+
+    for threads in [1, 3] {
+        let engine = Engine::new(EngineConfig::default().with_threads(threads));
+        let outcomes = engine.compile_many(requests.clone());
+        assert_eq!(outcomes.len(), requests.len());
+        for (outcome, request) in outcomes.iter().zip(&requests) {
+            let outcome = outcome.as_ref().expect("compile succeeds");
+            let graph = HttGraph::build_with_solver(
+                &request.hamiltonian,
+                &request.config.strategy,
+                engine.flow_solver(),
+            )
+            .unwrap();
+            let serial = Compiler::new(request.config.clone())
+                .compile_with_htt(&graph)
+                .unwrap();
+            let fidelity = request.evaluate_fidelity.then(|| {
+                evaluate_fidelity(&serial.hamiltonian, request.config.time, &serial.sequence)
+            });
+            let context = format!("{} @ {threads} threads", request.label);
+            assert_eq!(outcome.label, request.label);
+            assert_eq!(outcome.result.sequence, serial.sequence, "{context}");
+            assert_eq!(outcome.result.stats, serial.stats, "{context}");
+            assert_eq!(
+                outcome.result.circuit_stats, serial.circuit_stats,
+                "{context}"
+            );
+            assert_eq!(
+                outcome.fidelity.map(f64::to_bits),
+                fidelity.map(f64::to_bits),
+                "{context}"
+            );
+        }
+        assert!(outcomes
+            .last()
+            .unwrap()
+            .as_ref()
+            .unwrap()
+            .fidelity
+            .is_some());
+        assert_eq!(
+            engine.cache().stats().misses,
+            4,
+            "one graph build per distinct (Hamiltonian, strategy)"
+        );
+    }
 }

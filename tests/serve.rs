@@ -305,3 +305,83 @@ fn request_streams_decode_identically_under_any_byte_chunking() {
         },
     );
 }
+
+#[test]
+fn invalid_perturbation_configs_fail_as_compile_errors_and_the_connection_survives() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    use marqsim::serve::Json;
+
+    // Raw lines: `1e999` parses as an infinite magnitude, which the client
+    // library (encoding non-finite numbers as null) cannot send.
+    let server = spawn_server(2);
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut next_event = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("server event");
+        Json::parse(line.trim_end()).expect("event JSON")
+    };
+    let field = |event: &Json, key: &str| -> String {
+        event
+            .get(key)
+            .and_then(Json::as_str)
+            .unwrap_or_default()
+            .to_string()
+    };
+    assert_eq!(field(&next_event(), "event"), "hello");
+
+    let hamiltonian = "0.9 ZZZZ + 0.8 ZZIZ + 0.7 XXII + 0.6 IYYI + 0.5 IIZZ";
+    let perturbation = |samples: &str, magnitude: &str| {
+        format!(r#""samples":{samples},"magnitude":{magnitude},"probability":0.5,"seed":0"#)
+    };
+    let gc_rp_sweep = |samples: &str, magnitude: &str| {
+        format!(
+            r#"{{"hamiltonian":"{hamiltonian}","strategy":{{"kind":"gc-rp","qdrift_weight":0.4,"gc_weight":0.3,"perturbation":{{{}}}}},"config":{{"time":0.5,"epsilons":[0.1],"repeats":1,"base_seed":1,"evaluate_fidelity":false}}}}"#,
+            perturbation(samples, magnitude)
+        )
+    };
+    let mut run = |label: &str, kind: &str, params: String| -> Json {
+        let line =
+            format!(r#"{{"verb":"submit","label":"{label}","kind":"{kind}","params":{params}}}"#);
+        writeln!(writer, "{line}").unwrap();
+        loop {
+            let event = next_event();
+            if matches!(field(&event, "event").as_str(), "done" | "failed" | "error") {
+                return event;
+            }
+        }
+    };
+
+    let bad = [
+        ("bad/samples", "sweep", gc_rp_sweep("0", "1.0")),
+        ("bad/magnitude", "sweep", gc_rp_sweep("20", "1e999")),
+        (
+            "bad/average-magnitude",
+            "perturb_average",
+            format!(
+                r#"{{"hamiltonian":"{hamiltonian}",{}}}"#,
+                perturbation("4", "1e999")
+            ),
+        ),
+    ];
+    for (label, kind, params) in bad {
+        let event = run(label, kind, params);
+        assert_eq!(field(&event, "event"), "failed", "{label}: {event:?}");
+        assert_eq!(field(&event, "kind"), "compile", "{label}: {event:?}");
+        assert!(
+            field(&event, "message").contains("invalid configuration"),
+            "{label}: {event:?}"
+        );
+    }
+
+    // The connection and the engine keep serving.
+    let event = run("good", "sweep", gc_rp_sweep("2", "1.0"));
+    assert_eq!(field(&event, "event"), "done", "{event:?}");
+}

@@ -141,13 +141,15 @@ fn spawn_fib_server(threads: usize) -> ServerHandle {
 }
 
 #[test]
-fn external_workload_runs_through_engine_submit_with_progress() {
+fn external_workload_runs_through_engine_submit_with_options() {
     let engine = Arc::new(Engine::new(EngineConfig::default().with_threads(2)));
     let events = Arc::new(Mutex::new(Vec::<Progress>::new()));
     let sink = Arc::clone(&events);
-    let handle = engine.submit_with_progress(FibWorkload::new("fib/engine", 25), move |p| {
-        sink.lock().unwrap().push(p)
-    });
+    let handle = engine.submit_with_options(
+        FibWorkload::new("fib/engine", 25),
+        SubmitOptions::default(),
+        move |p| sink.lock().unwrap().push(p),
+    );
     assert_eq!(handle.label(), "fib/engine");
     let values: Vec<u64> = handle
         .collect()
@@ -332,7 +334,9 @@ fn multi_phase_workloads_report_one_cumulative_progress_stream() {
     let engine = Arc::new(Engine::new(EngineConfig::default().with_threads(2)));
     let events = Arc::new(Mutex::new(Vec::<Progress>::new()));
     let sink = Arc::clone(&events);
-    let handle = engine.submit_with_progress(TwoPhase, move |p| sink.lock().unwrap().push(p));
+    let handle = engine.submit_with_options(TwoPhase, SubmitOptions::default(), move |p| {
+        sink.lock().unwrap().push(p)
+    });
     let (first, second): (Vec<u64>, Vec<u64>) =
         handle.collect().unwrap().downcast().expect("tuple output");
     assert_eq!(first, (0..10).map(|x| x * 2).collect::<Vec<u64>>());
