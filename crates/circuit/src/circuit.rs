@@ -64,15 +64,10 @@ impl Circuit {
     ///
     /// # Panics
     ///
-    /// Panics if the gate references a qubit outside the register.
+    /// Panics if the gate references a qubit outside the register, or is a
+    /// CNOT whose control is its target.
     pub fn push(&mut self, gate: Gate) {
-        for q in gate.qubits() {
-            assert!(
-                q < self.num_qubits,
-                "gate {gate} addresses qubit {q} but the circuit has {} qubits",
-                self.num_qubits
-            );
-        }
+        check_gate(self.num_qubits, &gate);
         self.gates.push(gate);
     }
 
@@ -88,9 +83,7 @@ impl Circuit {
             other.num_qubits,
             self.num_qubits
         );
-        for g in &other.gates {
-            self.gates.push(g.clone());
-        }
+        self.gates.extend_from_slice(&other.gates);
     }
 
     /// Iterator over the gates.
@@ -155,16 +148,36 @@ impl Circuit {
     }
 
     /// Rebuilds a circuit from a gate list (used by optimization passes).
+    /// The gates are validated in place and `gates` becomes the circuit's
+    /// storage.
     ///
     /// # Panics
     ///
-    /// Panics if a gate addresses a qubit outside the register.
+    /// Panics if a gate addresses a qubit outside the register, or is a CNOT
+    /// whose control is its target.
     pub fn from_gates(num_qubits: usize, gates: Vec<Gate>) -> Self {
-        let mut c = Circuit::new(num_qubits);
-        for g in gates {
-            c.push(g);
+        for g in &gates {
+            check_gate(num_qubits, g);
         }
-        c
+        Circuit { num_qubits, gates }
+    }
+}
+
+/// The register check shared by [`Circuit::push`] and
+/// [`Circuit::from_gates`]: every qubit in range, and a CNOT acts on two
+/// distinct qubits.
+fn check_gate(num_qubits: usize, gate: &Gate) {
+    for q in gate.qubits() {
+        assert!(
+            q < num_qubits,
+            "gate {gate} addresses qubit {q} but the circuit has {num_qubits} qubits"
+        );
+    }
+    if let Gate::Cnot { control, target } = *gate {
+        assert!(
+            control != target,
+            "gate {gate} addresses qubit {control} as both control and target"
+        );
     }
 }
 
@@ -268,6 +281,37 @@ mod tests {
             control: 0,
             target: 1,
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "addresses qubit")]
+    fn from_gates_rejects_out_of_range_qubits() {
+        Circuit::from_gates(2, vec![Gate::H(0), Gate::Rz(2, 0.5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "as both control and target")]
+    fn push_rejects_self_targeting_cnots() {
+        let mut c = Circuit::new(2);
+        c.push(Gate::Cnot {
+            control: 1,
+            target: 1,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "as both control and target")]
+    fn from_gates_rejects_self_targeting_cnots() {
+        Circuit::from_gates(
+            3,
+            vec![
+                Gate::H(0),
+                Gate::Cnot {
+                    control: 2,
+                    target: 2,
+                },
+            ],
+        );
     }
 
     #[test]

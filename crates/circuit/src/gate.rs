@@ -1,6 +1,7 @@
 //! The gate set.
 
 use std::fmt;
+use std::ops::Deref;
 
 use marqsim_linalg::{Complex, Matrix};
 
@@ -16,9 +17,9 @@ use marqsim_linalg::{Complex, Matrix};
 ///
 /// let g = Gate::Cnot { control: 0, target: 2 };
 /// assert!(g.is_two_qubit());
-/// assert_eq!(g.qubits(), vec![0, 2]);
+/// assert_eq!(*g.qubits(), [0, 2]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Gate {
     /// Hadamard gate.
     H(usize),
@@ -51,10 +52,37 @@ pub enum Gate {
     GlobalPhase(f64),
 }
 
+/// The qubits a gate acts on, as a fixed-size value: zero, one or two
+/// qubit indices, no heap allocation. Derefs to `&[usize]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Qubits {
+    buf: [usize; 2],
+    len: u8,
+}
+
+impl Deref for Qubits {
+    type Target = [usize];
+
+    #[inline]
+    fn deref(&self) -> &[usize] {
+        &self.buf[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Qubits {
+    type Item = usize;
+    type IntoIter = std::iter::Take<std::array::IntoIter<usize, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.buf.into_iter().take(usize::from(self.len))
+    }
+}
+
 impl Gate {
-    /// The qubits this gate acts on, in ascending order for two-qubit gates'
-    /// `qubits()` comparison purposes (control listed first for CNOT).
-    pub fn qubits(&self) -> Vec<usize> {
+    /// The qubits this gate acts on: one for single-qubit gates, none for a
+    /// global phase, and for CNOT the control followed by the target.
+    #[inline]
+    pub fn qubits(&self) -> Qubits {
         match *self {
             Gate::H(q)
             | Gate::X(q)
@@ -64,9 +92,18 @@ impl Gate {
             | Gate::Sdg(q)
             | Gate::Rx(q, _)
             | Gate::Ry(q, _)
-            | Gate::Rz(q, _) => vec![q],
-            Gate::Cnot { control, target } => vec![control, target],
-            Gate::GlobalPhase(_) => vec![],
+            | Gate::Rz(q, _) => Qubits {
+                buf: [q, 0],
+                len: 1,
+            },
+            Gate::Cnot { control, target } => Qubits {
+                buf: [control, target],
+                len: 2,
+            },
+            Gate::GlobalPhase(_) => Qubits {
+                buf: [0, 0],
+                len: 0,
+            },
         }
     }
 
@@ -97,7 +134,7 @@ impl Gate {
             Gate::Ry(q, theta) => Gate::Ry(q, -theta),
             Gate::Rz(q, theta) => Gate::Rz(q, -theta),
             Gate::GlobalPhase(phi) => Gate::GlobalPhase(-phi),
-            ref g => g.clone(),
+            g => g,
         }
     }
 
@@ -176,15 +213,21 @@ mod tests {
 
     #[test]
     fn qubits_and_arity() {
-        assert_eq!(Gate::H(3).qubits(), vec![3]);
+        assert_eq!(*Gate::H(3).qubits(), [3]);
+        // Control first, whichever index is larger.
         assert_eq!(
-            Gate::Cnot {
-                control: 1,
-                target: 4
+            *Gate::Cnot {
+                control: 4,
+                target: 1
             }
             .qubits(),
-            vec![1, 4]
+            [4, 1]
         );
+        let cx = Gate::Cnot {
+            control: 1,
+            target: 4,
+        };
+        assert_eq!(cx.qubits().into_iter().collect::<Vec<_>>(), vec![1, 4]);
         assert!(Gate::Cnot {
             control: 0,
             target: 1
@@ -253,7 +296,7 @@ mod tests {
             control: 0,
             target: 1,
         };
-        assert!(cx.cancels_with(&cx.clone()));
+        assert!(cx.cancels_with(&cx));
         assert!(!cx.cancels_with(&Gate::Cnot {
             control: 1,
             target: 0

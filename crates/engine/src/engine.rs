@@ -575,7 +575,7 @@ impl Engine {
                 // everything the workload does — graph resolution, pool
                 // submissions (whose tasks re-parent here), persist I/O —
                 // nests under it in the trace.
-                let _job_span = trace::Span::enter("job")
+                let job_span = trace::Span::enter("job")
                     // Named `job`, not `id`: the record already carries
                     // the span's own `id` key.
                     .field("job", job_id)
@@ -617,6 +617,9 @@ impl Engine {
                 coordinator_state.mark_finished();
                 engine.active_jobs.fetch_sub(1, Ordering::Relaxed);
                 metrics::global().gauge("marqsim_engine_active_jobs").sub(1);
+                // Close the span before the result leaves: a caller holding
+                // the result can then read the job's whole trace.
+                drop(job_span);
                 on_complete(id, outcome);
             })
             .expect("spawn job coordinator");
