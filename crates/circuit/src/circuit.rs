@@ -36,6 +36,15 @@ impl Circuit {
         }
     }
 
+    /// Creates an empty circuit on `num_qubits` qubits with room for
+    /// `gates` gates before it reallocates.
+    pub fn with_capacity(num_qubits: usize, gates: usize) -> Self {
+        Circuit {
+            num_qubits,
+            gates: Vec::with_capacity(gates),
+        }
+    }
+
     /// Number of qubits.
     #[inline]
     pub fn num_qubits(&self) -> usize {
@@ -111,35 +120,41 @@ impl Circuit {
 
     /// Total gate count excluding global phases.
     pub fn gate_count(&self) -> usize {
-        self.cnot_count() + self.single_qubit_count()
+        self.gates
+            .iter()
+            .filter(|g| !matches!(g, Gate::GlobalPhase(_)))
+            .count()
     }
 
     /// Circuit depth: the length of the longest chain of gates where each
     /// pair shares a qubit (global phases contribute no depth).
     pub fn depth(&self) -> usize {
-        let mut per_qubit = vec![0usize; self.num_qubits];
+        let mut levels = vec![0usize; self.num_qubits];
         for g in &self.gates {
-            let qs = g.qubits();
-            if qs.is_empty() {
-                continue;
-            }
-            let level = qs.iter().map(|&q| per_qubit[q]).max().unwrap_or(0) + 1;
-            for q in qs {
-                per_qubit[q] = level;
-            }
+            raise_levels(&mut levels, g);
         }
-        per_qubit.into_iter().max().unwrap_or(0)
+        levels.into_iter().max().unwrap_or(0)
     }
 
-    /// Gate-count and depth statistics.
+    /// Gate-count and depth statistics, in one walk over the gates.
     pub fn stats(&self) -> GateStats {
-        GateStats {
-            cnot: self.cnot_count(),
-            single_qubit: self.single_qubit_count(),
-            rz: self.rz_count(),
-            total: self.gate_count(),
-            depth: self.depth(),
+        let mut stats = GateStats::default();
+        let mut levels = vec![0usize; self.num_qubits];
+        for g in &self.gates {
+            match g {
+                Gate::GlobalPhase(_) => continue,
+                Gate::Cnot { .. } => stats.cnot += 1,
+                Gate::Rz(..) => {
+                    stats.single_qubit += 1;
+                    stats.rz += 1;
+                }
+                _ => stats.single_qubit += 1,
+            }
+            raise_levels(&mut levels, g);
         }
+        stats.total = stats.cnot + stats.single_qubit;
+        stats.depth = levels.into_iter().max().unwrap_or(0);
+        stats
     }
 
     /// Consumes the circuit and returns the gate list.
@@ -160,6 +175,17 @@ impl Circuit {
             check_gate(num_qubits, g);
         }
         Circuit { num_qubits, gates }
+    }
+}
+
+/// Moves every qubit `gate` touches to one level past the deepest of them
+/// (`levels` holds each qubit's depth so far; a global phase touches none).
+fn raise_levels(levels: &mut [usize], gate: &Gate) {
+    let qubits = gate.qubits();
+    if let Some(level) = qubits.iter().map(|&q| levels[q]).max() {
+        for q in qubits {
+            levels[q] = level + 1;
+        }
     }
 }
 
@@ -207,6 +233,7 @@ impl<'a> IntoIterator for &'a Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quickprop::{check, Config, Gen};
 
     fn bell_pair() -> Circuit {
         let mut c = Circuit::new(2);
@@ -319,6 +346,60 @@ mod tests {
         let c = bell_pair();
         let rebuilt = Circuit::from_gates(2, c.clone().into_gates());
         assert_eq!(c, rebuilt);
+    }
+
+    /// A random circuit on 1–6 qubits over the whole gate set.
+    fn random_circuit(g: &mut Gen) -> Circuit {
+        let n = g.usize_in(1..7);
+        let mut c = Circuit::new(n);
+        for _ in 0..g.usize_in(0..60) {
+            let q = g.usize_in(0..n);
+            let theta = g.f64_in(-1.5, 1.5);
+            let gates = [
+                Gate::H(q),
+                Gate::X(q),
+                Gate::Y(q),
+                Gate::Z(q),
+                Gate::S(q),
+                Gate::Sdg(q),
+                Gate::Rx(q, theta),
+                Gate::Ry(q, theta),
+                Gate::Rz(q, theta),
+                Gate::GlobalPhase(theta),
+                Gate::Cnot {
+                    control: q,
+                    target: (q + 1) % n,
+                },
+            ];
+            let gate = *g.choose(&gates[..gates.len() - usize::from(n == 1)]);
+            c.push(gate);
+        }
+        c
+    }
+
+    #[test]
+    fn stats_equals_the_separate_counts() {
+        check(
+            "one-pass stats equal the separate counts",
+            Config::default().with_cases(300).with_seed(0x57A75),
+            random_circuit,
+            |c| {
+                let separate = GateStats {
+                    cnot: c.cnot_count(),
+                    single_qubit: c.single_qubit_count(),
+                    rz: c.rz_count(),
+                    total: c.cnot_count() + c.single_qubit_count(),
+                    depth: c.depth(),
+                };
+                if c.stats() != separate {
+                    return Err(format!("stats {:?}, separate {separate:?}", c.stats()));
+                }
+                if c.gate_count() != separate.total {
+                    return Err(format!("gate_count {}", c.gate_count()));
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

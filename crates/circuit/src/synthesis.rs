@@ -42,18 +42,16 @@ pub fn append_pauli_rotation(circuit: &mut Circuit, pauli: &PauliString, angle: 
         pauli.num_qubits(),
         circuit.num_qubits()
     );
-    let support: Vec<(usize, PauliOp)> = pauli.support().collect();
-    if support.is_empty() {
+    let Some((root, _)) = pauli.support().next() else {
         // exp(i angle I) is a global phase.
         circuit.push(Gate::GlobalPhase(angle));
         return;
-    }
-    let root = support[0].0;
+    };
 
     // Leading basis changes: map X -> Z via H, Y -> Z via (S H)† = H S†
     // applied in time order S† then H... more precisely we need W† first
     // where W Z W† = σ. For X, W = H; for Y, W = S·H.
-    for &(q, op) in &support {
+    for (q, op) in pauli.support() {
         match op {
             PauliOp::X => circuit.push(Gate::H(q)),
             PauliOp::Y => {
@@ -65,8 +63,9 @@ pub fn append_pauli_rotation(circuit: &mut Circuit, pauli: &PauliString, angle: 
         }
     }
 
-    // CNOT ladder: parity of every support qubit accumulated onto the root.
-    for &(q, _) in support.iter().skip(1) {
+    // CNOT ladder: parity of every support qubit accumulated onto the root
+    // (the lowest one, so the rest are the ones above it).
+    for (q, _) in pauli.support().filter(|&(q, _)| q > root) {
         circuit.push(Gate::Cnot {
             control: q,
             target: root,
@@ -77,7 +76,7 @@ pub fn append_pauli_rotation(circuit: &mut Circuit, pauli: &PauliString, angle: 
     circuit.push(Gate::Rz(root, -2.0 * angle));
 
     // Mirrored CNOT ladder.
-    for &(q, _) in support.iter().skip(1).rev() {
+    for (q, _) in pauli.support().rev().filter(|&(q, _)| q > root) {
         circuit.push(Gate::Cnot {
             control: q,
             target: root,
@@ -85,7 +84,7 @@ pub fn append_pauli_rotation(circuit: &mut Circuit, pauli: &PauliString, angle: 
     }
 
     // Trailing basis changes (the W layer).
-    for &(q, op) in &support {
+    for (q, op) in pauli.support() {
         match op {
             PauliOp::X => circuit.push(Gate::H(q)),
             PauliOp::Y => {
@@ -98,9 +97,41 @@ pub fn append_pauli_rotation(circuit: &mut Circuit, pauli: &PauliString, angle: 
     }
 }
 
+/// The number of gates [`append_pauli_rotation`] appends for `pauli`: one
+/// global phase for the identity, otherwise two basis changes per `X`, four
+/// per `Y`, two CNOT ladders over the support, and one `Rz`. Callers sum it
+/// over a sequence to reserve a circuit's exact size up front.
+///
+/// # Example
+///
+/// ```
+/// use marqsim_circuit::synthesis;
+/// use marqsim_pauli::PauliString;
+///
+/// let p: PauliString = "XYZI".parse().unwrap();
+/// assert_eq!(synthesis::rotation_gate_count(&p), 2 + 4 + 2 * 2 + 1);
+/// ```
+pub fn rotation_gate_count(pauli: &PauliString) -> usize {
+    let (mut support, mut basis) = (0, 0);
+    for op in pauli.ops() {
+        match op {
+            PauliOp::I => continue,
+            PauliOp::X => basis += 2,
+            PauliOp::Y => basis += 4,
+            PauliOp::Z => {}
+        }
+        support += 1;
+    }
+    if support == 0 {
+        1
+    } else {
+        basis + 2 * (support - 1) + 1
+    }
+}
+
 /// Builds a standalone circuit for `exp(i · angle · P)`.
 pub fn pauli_rotation_circuit(pauli: &PauliString, angle: f64) -> Circuit {
-    let mut c = Circuit::new(pauli.num_qubits());
+    let mut c = Circuit::with_capacity(pauli.num_qubits(), rotation_gate_count(pauli));
     append_pauli_rotation(&mut c, pauli, angle);
     c
 }
@@ -108,7 +139,8 @@ pub fn pauli_rotation_circuit(pauli: &PauliString, angle: f64) -> Circuit {
 /// Synthesizes the circuit for a whole term sequence: each entry is a Pauli
 /// string and the rotation angle to apply, concatenated in order.
 pub fn sequence_circuit(num_qubits: usize, sequence: &[(PauliString, f64)]) -> Circuit {
-    let mut c = Circuit::new(num_qubits);
+    let gates = sequence.iter().map(|(p, _)| rotation_gate_count(p)).sum();
+    let mut c = Circuit::with_capacity(num_qubits, gates);
     for (p, angle) in sequence {
         append_pauli_rotation(&mut c, p, *angle);
     }
@@ -233,6 +265,31 @@ mod tests {
         let u = circuit_unitary(&c);
         let exact = exact_rotation(&b, -0.4).matmul(&exact_rotation(&a, 0.3));
         assert!(u.approx_eq(&exact, 1e-10));
+    }
+
+    #[test]
+    fn rotation_gate_count_matches_every_string_on_up_to_four_qubits() {
+        const OPS: [PauliOp; 4] = [PauliOp::I, PauliOp::X, PauliOp::Y, PauliOp::Z];
+        for n in 1..=4u32 {
+            for code in 0..4usize.pow(n) {
+                let ops = (0..n).map(|q| OPS[(code >> (2 * q)) & 3]).collect();
+                let p = PauliString::from_ops(ops);
+                let c = pauli_rotation_circuit(&p, 0.3);
+                assert_eq!(rotation_gate_count(&p), c.len(), "P={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn sequence_circuit_reserves_its_exact_size() {
+        let seq: Vec<(PauliString, f64)> = ["XYZI", "IIII", "ZIIZ", "YYYY"]
+            .iter()
+            .map(|s| (s.parse().unwrap(), 0.2))
+            .collect();
+        let c = sequence_circuit(4, &seq);
+        let counted: usize = seq.iter().map(|(p, _)| rotation_gate_count(p)).sum();
+        assert_eq!(c.len(), counted);
+        assert_eq!(c.into_gates().capacity(), counted);
     }
 
     #[test]

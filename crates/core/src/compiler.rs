@@ -200,7 +200,13 @@ impl Compiler {
 
         // Step 4: synthesize the circuit (optional).
         let (circuit, circuit_stats) = if cfg.synthesize_circuit {
-            let mut circuit = Circuit::new(working.num_qubits());
+            // Reserve the exact size up front: a gate list grown by
+            // doubling can hold up to twice the memory the circuit needs.
+            let gates = merged_sequence
+                .iter()
+                .map(|&(idx, _)| synthesis::rotation_gate_count(&working.term(idx).string))
+                .sum();
+            let mut circuit = Circuit::with_capacity(working.num_qubits(), gates);
             for &(idx, mult) in &merged_sequence {
                 let term = working.term(idx);
                 let angle = term.coefficient.signum() * angle_per_sample * mult as f64;
@@ -259,6 +265,20 @@ mod tests {
         assert_eq!(result.num_samples, expected);
         assert_eq!(result.sequence.len(), expected);
         assert!((result.angle_per_sample - lambda * cfg.time / expected as f64).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unoptimized_circuit_has_the_summed_rotation_gate_count() {
+        let ham = example();
+        let mut cfg = config(TransitionStrategy::QDrift);
+        cfg.optimize_circuit = false;
+        let result = Compiler::new(cfg).compile(&ham).unwrap();
+        let counted: usize = result
+            .merged_sequence
+            .iter()
+            .map(|&(idx, _)| synthesis::rotation_gate_count(&result.hamiltonian.term(idx).string))
+            .sum();
+        assert_eq!(result.circuit.len(), counted);
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! * [`Listener`] / [`Stream`] / [`IoStatus`] — nonblocking accept/read/
 //!   write wrappers that put `WouldBlock` into the type, plus outbound
 //!   nonblocking [`Stream::connect`] with a typed [`ConnectStatus`] (the
-//!   cluster router dials its nodes from inside the event loop);
+//!   cluster router dials its nodes from inside the event loop). Every
+//!   stream either hands out has `TCP_NODELAY` set: callers batch their
+//!   own writes ([`Stream::write_vectored`]), so Nagle's algorithm only
+//!   adds a delayed-ACK stall;
 //! * [`Wakeup`] / [`WakeHandle`] — a socketpair-backed channel for waking
 //!   a parked event loop from other threads (job completions, shutdown);
 //! * [`DeadlineWheel`] / [`TimerKey`] — ordered timeouts (idle
@@ -25,9 +28,9 @@
 //!
 //! The reactor exposes its own instruments (`marqsim_net_polls_total`,
 //! `marqsim_net_events_total`, `marqsim_net_wakeups_total`,
-//! `marqsim_net_timers_expired_total`) through the global `marqsim-obs`
-//! registry; see `docs/net.md` for the architecture and
-//! `docs/observability.md` for the catalog.
+//! `marqsim_net_timers_expired_total`, `marqsim_net_nodelay_failures_total`)
+//! through the global `marqsim-obs` registry; see `docs/net.md` for the
+//! architecture and `docs/observability.md` for the catalog.
 
 pub mod framing;
 pub mod poller;
@@ -58,6 +61,8 @@ struct NetInstruments {
     wakeups: Arc<metrics::Counter>,
     /// Deadline-wheel timers that came due.
     timers_expired: Arc<metrics::Counter>,
+    /// Streams handed out without `TCP_NODELAY` because setting it failed.
+    nodelay_failures: Arc<metrics::Counter>,
 }
 
 fn instruments() -> &'static NetInstruments {
@@ -69,6 +74,7 @@ fn instruments() -> &'static NetInstruments {
             events: registry.counter("marqsim_net_events_total"),
             wakeups: registry.counter("marqsim_net_wakeups_total"),
             timers_expired: registry.counter("marqsim_net_timers_expired_total"),
+            nodelay_failures: registry.counter("marqsim_net_nodelay_failures_total"),
         }
     })
 }

@@ -4,12 +4,29 @@
 //! on [`IoStatus`] instead of re-deriving the three-way outcome (progress /
 //! try later / gone) from `io::Error` at every call site. `Interrupted` is
 //! retried internally; any other error means the connection is dead.
+//!
+//! The socket policy lives here too: every stream [`Listener::accept`] and
+//! [`Stream::connect`] return has `TCP_NODELAY` set. The daemons speak
+//! small request/response lines and batch their own writes, so Nagle's
+//! algorithm would only hold a reply's second segment until the peer's
+//! delayed ACK (about 40 ms).
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, IntoRawFd, RawFd};
 
+use marqsim_obs::warn;
+
 use crate::sys;
+
+/// Turns Nagle's algorithm off on `stream`. A failure leaves a working
+/// (if slower) stream, so it is logged and counted, not returned.
+fn set_nodelay(stream: &TcpStream) {
+    if let Err(error) = stream.set_nodelay(true) {
+        warn!("net", "could not set TCP_NODELAY: {error}");
+        crate::instruments().nodelay_failures.inc();
+    }
+}
 
 /// Outcome of one nonblocking read or write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +68,8 @@ impl Listener {
 
     /// Accepts one pending connection, or `None` when the backlog is
     /// empty. Transient per-connection errors (peer reset before accept)
-    /// also come back as `None` — the listener itself is fine.
+    /// also come back as `None` — the listener itself is fine. The
+    /// returned stream has `TCP_NODELAY` set.
     ///
     /// # Errors
     ///
@@ -59,7 +77,10 @@ impl Listener {
     pub fn accept(&self) -> io::Result<Option<(TcpStream, SocketAddr)>> {
         loop {
             match self.inner.accept() {
-                Ok(pair) => return Ok(Some(pair)),
+                Ok(pair) => {
+                    set_nodelay(&pair.0);
+                    return Ok(Some(pair));
+                }
                 Err(error) => match error.kind() {
                     io::ErrorKind::WouldBlock => return Ok(None),
                     io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted => continue,
@@ -104,7 +125,7 @@ impl Stream {
     /// Starts a nonblocking outbound connect to `addr`. On
     /// [`ConnectStatus::InProgress`], the stream is not usable until it
     /// turns writable and [`connect_result`](Stream::connect_result)
-    /// confirms the handshake.
+    /// confirms the handshake. The stream has `TCP_NODELAY` set.
     ///
     /// # Errors
     ///
@@ -115,6 +136,7 @@ impl Stream {
         // SAFETY: `fd` is an owned, open socket fd; ownership transfers
         // into the `TcpStream`, which closes it on drop.
         let inner = unsafe { TcpStream::from_raw_fd(fd.into_raw_fd()) };
+        set_nodelay(&inner);
         let status = match progress {
             sys::ConnectProgress::Ready => ConnectStatus::Ready,
             sys::ConnectProgress::InProgress => ConnectStatus::InProgress,
@@ -158,21 +180,37 @@ impl Stream {
     ///
     /// Propagates fatal socket errors.
     pub fn write(&mut self, buf: &[u8]) -> io::Result<IoStatus> {
-        loop {
-            match self.inner.write(buf) {
-                Ok(n) => return Ok(IoStatus::Ready(n)),
-                Err(error) => match error.kind() {
-                    io::ErrorKind::WouldBlock => return Ok(IoStatus::WouldBlock),
-                    io::ErrorKind::Interrupted => continue,
-                    _ => return Err(error),
-                },
-            }
-        }
+        write_status(|| self.inner.write(buf))
+    }
+
+    /// Writes from `bufs`, in order, with one `writev`; short writes are
+    /// normal under backpressure and may end inside any slice.
+    ///
+    /// # Errors
+    ///
+    /// Propagates fatal socket errors.
+    pub fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<IoStatus> {
+        write_status(|| self.inner.write_vectored(bufs))
     }
 
     /// The wrapped socket (peer address, nodelay, shutdown).
     pub fn std(&self) -> &TcpStream {
         &self.inner
+    }
+}
+
+/// Runs one nonblocking write, retrying `Interrupted` and turning
+/// `WouldBlock` into a status.
+fn write_status(mut write: impl FnMut() -> io::Result<usize>) -> io::Result<IoStatus> {
+    loop {
+        match write() {
+            Ok(n) => return Ok(IoStatus::Ready(n)),
+            Err(error) => match error.kind() {
+                io::ErrorKind::WouldBlock => return Ok(IoStatus::WouldBlock),
+                io::ErrorKind::Interrupted => continue,
+                _ => return Err(error),
+            },
+        }
     }
 }
 
@@ -285,6 +323,52 @@ mod tests {
             }
         };
         assert_eq!(&buf[..n], b"hello");
+    }
+
+    #[test]
+    fn accepted_and_connected_streams_have_nodelay_set() {
+        let listener = Listener::from_std(TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+        let addr = listener.local_addr().unwrap();
+
+        let (client, status) = Stream::connect(&addr).unwrap();
+        finish_connect(&client, status).expect("connect to a live listener succeeds");
+        assert!(client.std().nodelay().unwrap());
+
+        let accepted = loop {
+            if let Some((stream, _)) = listener.accept().unwrap() {
+                break stream;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        };
+        let server_side = Stream::from_std(accepted).unwrap();
+        assert!(server_side.std().nodelay().unwrap());
+    }
+
+    #[test]
+    fn write_vectored_sends_the_slices_in_order() {
+        let listener = Listener::from_std(TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        let accepted = loop {
+            if let Some((stream, _)) = listener.accept().unwrap() {
+                break stream;
+            }
+        };
+        let mut server_side = Stream::from_std(accepted).unwrap();
+
+        let slices = [
+            IoSlice::new(b"one\n"),
+            IoSlice::new(b""),
+            IoSlice::new(b"two\n"),
+        ];
+        // An empty socket buffer takes eight bytes in one call.
+        assert_eq!(
+            server_side.write_vectored(&slices).unwrap(),
+            IoStatus::Ready(8)
+        );
+        let mut buf = [0u8; 8];
+        client.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"one\ntwo\n");
     }
 
     #[test]

@@ -90,8 +90,9 @@ impl PauliString {
         self.ops.iter().filter(|op| !op.is_identity()).count()
     }
 
-    /// Iterator over `(qubit, op)` pairs with non-identity operators.
-    pub fn support(&self) -> impl Iterator<Item = (usize, PauliOp)> + '_ {
+    /// Iterator over `(qubit, op)` pairs with non-identity operators, in
+    /// qubit order (double-ended, so it also walks the support backwards).
+    pub fn support(&self) -> impl DoubleEndedIterator<Item = (usize, PauliOp)> + '_ {
         self.ops
             .iter()
             .enumerate()

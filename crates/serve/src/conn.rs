@@ -28,6 +28,7 @@
 //! through that relay.
 
 use std::collections::VecDeque;
+use std::io::IoSlice;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -62,6 +63,11 @@ const OUTBOUND_MAX_EVENTS: usize = 8192;
 /// perturb matrix is ~6 MB) — the cap is about *accumulation*, not one
 /// large event.
 const OUTBOUND_MAX_BYTES: usize = 64 * 1024 * 1024;
+
+/// Most queued lines one [`Outbound::flush`] write gathers. Loopback
+/// traffic rarely queues more than a few lines between flushes; the cap
+/// bounds the per-call slice array, not the bytes written.
+const FLUSH_SLICES: usize = 64;
 
 /// How long a disconnecting connection may take to drain its final error
 /// event before the socket is closed regardless.
@@ -239,25 +245,43 @@ impl Outbound {
         self.lines.push_back(OutLine { line, progress_job });
     }
 
-    /// Writes queued lines until the queue drains or the socket blocks.
+    /// Writes queued lines until the queue drains or the socket blocks,
+    /// gathering up to [`FLUSH_SLICES`] lines into each `writev`. A short
+    /// write may end inside any line; the next call resumes at the same
+    /// byte of the head line.
     pub(crate) fn flush(&mut self, stream: &mut Stream) -> Flush {
-        while let Some(front) = self.lines.front() {
-            let bytes = front.line.as_bytes();
-            match stream.write(&bytes[self.write_offset..]) {
-                Ok(IoStatus::Ready(n)) => {
-                    self.write_offset += n;
-                    if self.write_offset == bytes.len() {
-                        self.write_offset = 0;
-                        self.bytes -= bytes.len();
-                        self.written += bytes.len() as u64;
-                        self.lines.pop_front();
-                    }
-                }
+        while let Some(head) = self.lines.front() {
+            let mut slices = [IoSlice::new(&[]); FLUSH_SLICES];
+            slices[0] = IoSlice::new(&head.line.as_bytes()[self.write_offset..]);
+            for (slice, queued) in slices[1..].iter_mut().zip(self.lines.iter().skip(1)) {
+                *slice = IoSlice::new(queued.line.as_bytes());
+            }
+            let count = self.lines.len().min(FLUSH_SLICES);
+            match stream.write_vectored(&slices[..count]) {
+                Ok(IoStatus::Ready(n)) => self.advance(n),
                 Ok(IoStatus::WouldBlock) => return Flush::Blocked,
                 Ok(IoStatus::Closed) | Err(_) => return Flush::Failed,
             }
         }
         Flush::Drained
+    }
+
+    /// Accounts `n` written bytes: pops every line they complete and
+    /// leaves `write_offset` inside the new head line.
+    fn advance(&mut self, mut n: usize) {
+        while let Some(head) = self.lines.front() {
+            let rest = head.line.len() - self.write_offset;
+            if n < rest {
+                self.write_offset += n;
+                return;
+            }
+            n -= rest;
+            let len = head.line.len();
+            self.write_offset = 0;
+            self.bytes -= len;
+            self.written += len as u64;
+            self.lines.pop_front();
+        }
     }
 
     /// Reconciles the poller registration with `desired`: one
@@ -1021,6 +1045,7 @@ pub(crate) fn encode_line(event: &Event) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::os::fd::AsRawFd;
 
     #[test]
     fn progress_events_coalesce_above_the_soft_threshold() {
@@ -1060,5 +1085,123 @@ mod tests {
         );
         // Closing returns the queued events to the process-wide gauge.
         layer.close(0, CloseReason::Shutdown);
+    }
+
+    /// A layer holding one connection (slot 0) whose peer is `client`.
+    fn layer_with_one_conn() -> (Layer<()>, ConnKey, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let mut layer: Layer<()> = Layer::new(Poller::new().unwrap(), None, None);
+        layer.open(accepted, &Event::AuthOk);
+        (layer, ConnKey { slot: 0, gen: 1 }, client)
+    }
+
+    /// Queues `count` distinct lines of an odd length after the hello, so
+    /// the kernel's send buffer fills part-way through some line; returns
+    /// every queued line in order, hello first.
+    fn queue_lines(layer: &mut Layer<()>, key: ConnKey, count: usize) -> Vec<String> {
+        let mut lines = vec![encode_line(&Event::AuthOk)];
+        for i in 0..count {
+            let line = format!("{i:0>7918}\n");
+            layer.push_line(key, line.clone(), None);
+            lines.push(line);
+        }
+        lines
+    }
+
+    /// Flushes slot 0 until the socket stops taking bytes.
+    fn flush_until_blocked(layer: &mut Layer<()>) {
+        let conn = layer.slab.at(0).unwrap();
+        match conn.out.flush(&mut conn.stream) {
+            Flush::Blocked => {}
+            Flush::Drained => panic!("a peer that is not reading cannot take 15 MB"),
+            Flush::Failed => panic!("the peer is still connected"),
+        }
+    }
+
+    #[test]
+    fn vectored_flush_resumes_across_backpressure() {
+        let (mut layer, key, mut client) = layer_with_one_conn();
+        let lines = queue_lines(&mut layer, key, 2000);
+        let expected = lines.concat();
+        let total = expected.len();
+
+        flush_until_blocked(&mut layer);
+        let out = &layer.slab.at(0).unwrap().out;
+        assert!(out.written > 0);
+        assert_eq!(out.written as usize + out.bytes, total);
+        assert_eq!(out.bytes, out.lines.iter().map(|l| l.line.len()).sum());
+
+        let reader = std::thread::spawn(move || {
+            let mut received = vec![0u8; total];
+            std::io::Read::read_exact(&mut client, &mut received).unwrap();
+            received
+        });
+        loop {
+            let conn = layer.slab.at(0).unwrap();
+            match conn.out.flush(&mut conn.stream) {
+                Flush::Drained => break,
+                Flush::Blocked => {
+                    marqsim_net::wait_writable(conn.stream.as_raw_fd(), None).unwrap();
+                }
+                Flush::Failed => panic!("the peer is still connected"),
+            }
+        }
+        assert_eq!(reader.join().unwrap(), expected.as_bytes());
+        let out = &layer.slab.at(0).unwrap().out;
+        assert_eq!(out.written as usize, total);
+        assert_eq!((out.bytes, out.write_offset), (0, 0));
+        assert!(out.lines.is_empty());
+        layer.close(0, CloseReason::Shutdown);
+    }
+
+    #[test]
+    fn slow_consumer_mid_line_keeps_framing() {
+        let (mut layer, key, mut client) = layer_with_one_conn();
+        let lines = queue_lines(&mut layer, key, 2000);
+
+        // Stop part-way through a line. The kernel almost always does; if
+        // it stopped on a boundary, let the peer take a little and retry.
+        let mut received = Vec::new();
+        flush_until_blocked(&mut layer);
+        while layer.slab.at(0).unwrap().out.write_offset == 0 {
+            let mut chunk = [0u8; 4099];
+            std::io::Read::read_exact(&mut client, &mut chunk).unwrap();
+            received.extend_from_slice(&chunk);
+            flush_until_blocked(&mut layer);
+        }
+        let head = layer.slab.at(0).unwrap().out.lines[0].line.clone();
+
+        layer.slow_consumer(key);
+        let error_line = {
+            let out = &layer.slab.at(0).unwrap().out;
+            // The partly written head survives; everything behind it is
+            // replaced by the terminal error.
+            assert_eq!(out.lines.len(), 2);
+            assert_eq!(out.lines[0].line, head);
+            assert!(out.write_offset > 0);
+            assert_eq!(out.bytes, out.lines.iter().map(|l| l.line.len()).sum());
+            out.lines[1].line.clone()
+        };
+
+        // Drain: the layer closes the socket once the error is written.
+        let reader = std::thread::spawn(move || {
+            std::io::Read::read_to_end(&mut client, &mut received).unwrap();
+            received
+        });
+        while let Some(conn) = layer.slab.at(0) {
+            let fd = conn.stream.as_raw_fd();
+            layer.flush(0);
+            if layer.slab.at(0).is_some() {
+                marqsim_net::wait_writable(fd, None).unwrap();
+            }
+        }
+        let received = String::from_utf8(reader.join().unwrap()).unwrap();
+
+        // Whole lines in queue order up to the head, then the error.
+        let delivered = lines.iter().position(|l| *l == head).unwrap() + 1;
+        assert_eq!(received, lines[..delivered].concat() + &error_line);
+        assert!(error_line.contains("slow consumer"));
     }
 }
